@@ -12,8 +12,8 @@ use mosalloc::{Mosalloc, MosallocConfig, PoolSpec};
 use mosmodel::dataset::{Dataset, LayoutKind, Sample};
 use mosmodel::persist::{encode_component, fmt_f64_shortest, parse_f64_shortest};
 use parking_lot::Mutex;
-use vmcore::{MemoryLayout, PageSize, PmuCounters, Region};
-use workloads::{sampling, TraceParams, WorkloadSpec};
+use vmcore::{MemoryLayout, PageSize, PmuCounters, Region, VirtAddr};
+use workloads::{sampling, Access, TraceParams, WorkloadSpec};
 
 use crate::sampled::{self, BatteryMode, GateReport, SampledConfig};
 use crate::{parallel, Speed};
@@ -245,6 +245,8 @@ pub struct Grid {
     /// Batteries actually simulated (not memo hits or disk loads) —
     /// the singleflight tests pin this to exactly one per cold pair.
     computed: AtomicU64,
+    /// Layout simulations those batteries ran.
+    simulated: AtomicU64,
     /// Interval-sampling configuration; `None` measures full traces.
     sampled: Option<SampledConfig>,
     /// Sampled batteries whose anchor cross-validation exceeded the
@@ -272,6 +274,7 @@ impl Grid {
             memo: Mutex::new(BTreeMap::new()),
             disk_dir: disk,
             computed: AtomicU64::new(0),
+            simulated: AtomicU64::new(0),
             sampled: SampledConfig::from_env(),
             rejections: AtomicU64::new(0),
         }
@@ -288,6 +291,7 @@ impl Grid {
             memo: Mutex::new(BTreeMap::new()),
             disk_dir: None,
             computed: AtomicU64::new(0),
+            simulated: AtomicU64::new(0),
             sampled: None,
             rejections: AtomicU64::new(0),
         }
@@ -333,6 +337,14 @@ impl Grid {
     /// waiters, and disk loads do not count.
     pub fn batteries_computed(&self) -> u64 {
         self.computed.load(Ordering::Relaxed)
+    }
+
+    /// Layout simulations those batteries ran, each over all its
+    /// repetitions. A full battery simulates each distinct layout once.
+    /// A sampled one adds its full-trace gate anchors, and a rejected
+    /// gate adds the full measurement of the other distinct layouts.
+    pub fn layouts_simulated(&self) -> u64 {
+        self.simulated.load(Ordering::Relaxed)
     }
 
     /// The active speed preset.
@@ -403,17 +415,17 @@ impl Grid {
                 return Arc::new(entry);
             }
             self.computed.fetch_add(1, Ordering::Relaxed);
-            let entry = match self.sampled {
-                Some(cfg) => {
-                    let entry =
-                        compute_entry_sampled(self.speed, self.jobs, workload, variant, cfg);
-                    if entry.gate.as_ref().is_some_and(|g| !g.accepted) {
-                        self.rejections.fetch_add(1, Ordering::Relaxed);
-                    }
-                    entry
-                }
-                None => compute_entry(self.speed, self.jobs, workload, variant),
-            };
+            let entry = compute_entry(
+                self.speed,
+                self.jobs,
+                self.sampled,
+                workload,
+                variant,
+                &self.simulated,
+            );
+            if entry.gate.as_ref().is_some_and(|g| !g.accepted) {
+                self.rejections.fetch_add(1, Ordering::Relaxed);
+            }
             let entry = Arc::new(entry);
             self.store_disk(&entry);
             entry
@@ -880,6 +892,15 @@ impl MeasureContext {
     pub fn workload(&self) -> &str {
         self.spec.name
     }
+
+    /// The pair's full trace, materialised once into exactly
+    /// `params.accesses` 16-byte entries. The capacity is reserved up
+    /// front, so building it never holds a second, transient copy.
+    fn trace_buffer(&self) -> Vec<Access> {
+        let mut trace = Vec::with_capacity(self.params.accesses as usize);
+        trace.extend(self.spec.trace(&self.params));
+        trace
+    }
 }
 
 /// Measures one layout on one machine variant with the grid's §VI-A
@@ -923,10 +944,69 @@ pub fn measure_layout_traced(
     ctx: &MeasureContext,
     variant: &MachineVariant,
     layout: &MemoryLayout,
-    mut recorder: Option<&mut obs::SpanRecorder>,
+    recorder: Option<&mut obs::SpanRecorder>,
 ) -> RunRecord {
+    let trace = || ctx.spec.trace(&ctx.params);
+    replay_layout(ctx, variant, layout, trace, ctx.params.accesses, recorder)
+}
+
+/// [`measure_layout`] over periodic trace windows: replays only
+/// `window` of every `period` accesses (`workloads::sampling::windows`)
+/// and extrapolates each PMU counter to full-trace scale with the
+/// cold-split estimator (see [`cold_split`]). The extrapolation is exact
+/// integer math ([`sampling::extrapolate`]) — no f64 accumulation, so
+/// sampled records are byte-identical across runs and job counts just
+/// like full ones. The repetition loop (placement-salted reruns until
+/// the runtime CV falls below 5%) is the grid's standard §VI-A
+/// methodology, evaluated on the extrapolated runtimes.
+///
+/// # Panics
+///
+/// Panics if `layout` is not a valid pool configuration for the
+/// context's pool region, or on an invalid `window`/`period`
+/// (`window == 0` or `window > period`).
+pub fn measure_layout_sampled(
+    ctx: &MeasureContext,
+    variant: &MachineVariant,
+    layout: &MemoryLayout,
+    window: u64,
+    period: u64,
+) -> RunRecord {
+    let kept = sampling::kept_count(ctx.params.accesses, window, period);
+    let windows = || {
+        sampling::windows(
+            ctx.spec.trace(&ctx.params),
+            window as usize,
+            period as usize,
+        )
+    };
+    replay_layout(ctx, variant, layout, windows, kept, None)
+}
+
+/// The one repetition loop behind every layout measurement: replays the
+/// `kept` accesses `accesses` yields — the whole trace, or the kept
+/// windows of an interval-sampled run — on a fresh, placement-salted
+/// engine per repetition until the runtime CV falls below 5% or the
+/// preset's budget runs out, and records the sim-domain spans of
+/// [`measure_layout_traced`] when asked. `accesses` runs once per
+/// repetition: a battery hands it a slice of its trace buffer, a
+/// single-layout call the trace generator itself, since a buffer read
+/// only once costs more than it saves. The salt depends only on the
+/// repetition index, so equal layouts measure to equal records.
+fn replay_layout<I>(
+    ctx: &MeasureContext,
+    variant: &MachineVariant,
+    layout: &MemoryLayout,
+    accesses: impl Fn() -> I,
+    kept: u64,
+    mut recorder: Option<&mut obs::SpanRecorder>,
+) -> RunRecord
+where
+    I: IntoIterator<Item = Access>,
+{
     let mosalloc = Mosalloc::new(config_for_layout(ctx.pool, layout))
         .expect("layout must be a valid pool spec");
+    let page_size = |va| mosalloc.page_size_at(va);
     let mut runs: Vec<PmuCounters> = Vec::new();
     let mut base: u64 = 0;
     for rep in 0..ctx.speed.max_reps.max(1) {
@@ -935,7 +1015,13 @@ pub fn measure_layout_traced(
             ..variant.config
         };
         let mut engine = Engine::with_config(&variant.platform, config);
-        let counters = engine.run(ctx.spec.trace(&ctx.params), |va| mosalloc.page_size_at(va));
+        let counters = cold_split(
+            &mut engine,
+            &page_size,
+            accesses(),
+            kept,
+            ctx.params.accesses,
+        );
         if let Some(rec) = recorder.as_deref_mut() {
             let end = base.saturating_add(counters.runtime_cycles);
             rec.record("replay", base, end);
@@ -956,82 +1042,40 @@ pub fn measure_layout_traced(
     }
 }
 
-/// [`measure_layout`] over periodic trace windows: replays only
-/// `window` of every `period` accesses (`workloads::sampling::windows`)
-/// and extrapolates each PMU counter to full-trace scale with a
+/// Steps `engine` through the `kept` accesses of a replay and reads out
+/// the PMU counters at the scale of a `total`-access trace with a
 /// **cold-split**: the first half of the kept accesses is the warmup
 /// segment, charged verbatim, and only the steady-state suffix rate is
 /// scaled to cover the unreplayed remainder. Pure linear scaling
 /// multiplies the run's one-time costs — the compulsory TLB and
 /// cache-line fills every run pays exactly once regardless of trace
 /// length — by `total / kept`, inflating the estimate by
-/// `(scale - 1) x` that transient. Splitting makes both regimes exact
-/// by construction: absolute costs land in the warmup prefix and are
-/// *not* scaled, while per-access rates are measured on the warmed
-/// suffix and scaled by the exact rational
-/// `(total - warmup) / (kept - warmup)` via integer math
-/// ([`sampling::extrapolate`]) — no f64 accumulation, so sampled
-/// records are byte-identical across runs and job counts just like
-/// full ones. The repetition loop (placement-salted reruns until the
-/// runtime CV falls below 5%) is the grid's standard §VI-A
-/// methodology, evaluated on the extrapolated runtimes.
-///
-/// # Panics
-///
-/// Panics if `layout` is not a valid pool configuration for the
-/// context's pool region, or on an invalid `window`/`period`
-/// (`window == 0` or `window > period`).
-pub fn measure_layout_sampled(
-    ctx: &MeasureContext,
-    variant: &MachineVariant,
-    layout: &MemoryLayout,
-    window: u64,
-    period: u64,
-) -> RunRecord {
-    let mosalloc = Mosalloc::new(config_for_layout(ctx.pool, layout))
-        .expect("layout must be a valid pool spec");
-    let total = ctx.params.accesses;
-    let kept = sampling::kept_count(total, window, period);
+/// `(scale - 1) x` that transient. Splitting makes both regimes exact by
+/// construction. A full replay (`kept == total`) is the identity case
+/// and runs as a plain [`Engine::run`].
+fn cold_split(
+    engine: &mut Engine,
+    page_size: &impl Fn(VirtAddr) -> PageSize,
+    accesses: impl IntoIterator<Item = Access>,
+    kept: u64,
+    total: u64,
+) -> PmuCounters {
+    if kept == total {
+        return engine.run(accesses, page_size);
+    }
+    // A single loop with one `step` call site: one loop per half
+    // measured slower on this hot path.
     let warmup = kept / 2;
-    let mut runs: Vec<PmuCounters> = Vec::new();
-    for rep in 0..ctx.speed.max_reps.max(1) {
-        let config = EngineConfig {
-            salt: variant.config.salt ^ (u64::from(rep) << 56),
-            ..variant.config
-        };
-        let mut engine = Engine::with_config(&variant.platform, config);
-        let page_size = |va| mosalloc.page_size_at(va);
-        let mut at_warmup = PmuCounters::default();
-        let mut seen: u64 = 0;
-        let windowed = sampling::windows(
-            ctx.spec.trace(&ctx.params),
-            window as usize,
-            period as usize,
-        );
-        for access in windowed {
-            engine.step(&access, &page_size);
-            seen = seen.saturating_add(1);
-            if seen == warmup {
-                at_warmup = engine.counters();
-            }
-        }
-        runs.push(extrapolate_counters(
-            &at_warmup,
-            &engine.counters(),
-            warmup,
-            kept,
-            total,
-        ));
-        if runs.len() >= 2 && runtime_cv(&runs) < 0.05 {
-            break;
+    let mut at_warmup = PmuCounters::default();
+    let mut seen: u64 = 0;
+    for access in accesses {
+        engine.step(&access, page_size);
+        seen = seen.saturating_add(1);
+        if seen == warmup {
+            at_warmup = engine.counters();
         }
     }
-    RunRecord {
-        description: layout.describe(),
-        kind: classify(layout),
-        counters: mean_counters(&runs),
-        cv_r: runtime_cv(&runs),
-    }
+    extrapolate_counters(&at_warmup, &engine.counters(), warmup, kept, total)
 }
 
 /// Field-wise cold-split extrapolation of a sampled readout to
@@ -1072,47 +1116,158 @@ fn extrapolate_counters(
 }
 
 /// Runs the whole battery for one (workload, machine-variant) pair,
-/// fanning the layouts out over at most `jobs` worker threads. The
-/// result is a pure function of `(speed, workload, variant)` — never of
-/// `jobs` — because each layout is measured by an independent engine
-/// with a layout-indexed salt schedule and the records are reduced in
-/// battery order (see [`parallel::parallel_map`]).
-fn compute_entry(speed: Speed, jobs: usize, workload: &str, variant: &MachineVariant) -> GridEntry {
+/// fanning the simulations out over at most `jobs` worker threads.
+///
+/// Each battery does its simulation work once: the pair's trace is
+/// materialised into one read-only buffer that the profiling pass and
+/// every replay read, and each *distinct* layout is simulated once,
+/// its record copied into every battery slot that repeats it (equal
+/// layouts measure to equal records, see [`replay_layout`]).
+///
+/// With `sampled` set, the battery is interval-sampled behind the
+/// cross-validation gate (paper §II-C): one fan-out measures the
+/// anchor layouts in full — the longest tasks, so they go first — and
+/// every distinct layout sampled. The sampled battery is admitted only
+/// if every anchor's every counter is within `cfg.bound` relative error
+/// of its full measurement; otherwise the entry falls back to full
+/// records (reusing the anchors' full measurements) and records the
+/// rejection in its gate.
+///
+/// The result is a pure function of `(speed, workload, variant,
+/// sampled)` — never of `jobs` — because every simulation is an
+/// independent engine with a repetition-indexed salt schedule and the
+/// records are reduced in battery order (see
+/// [`parallel::parallel_map`]).
+fn compute_entry(
+    speed: Speed,
+    jobs: usize,
+    sampled: Option<SampledConfig>,
+    workload: &str,
+    variant: &MachineVariant,
+    simulated: &AtomicU64,
+) -> GridEntry {
     let ctx = MeasureContext::new(speed, workload)
         .unwrap_or_else(|| panic!("unknown workload {workload:?}"));
-    let layouts = battery_layouts(&ctx, variant);
+    let trace = ctx.trace_buffer();
+    let full = trace.as_slice();
+    let layouts = battery_layouts(&ctx, variant, full);
+    let (distinct, slots) = distinct_layouts(&layouts);
 
-    // Measure every layout; independent runs execute in parallel, and
-    // the fixed reduction order keeps the records in battery order no
-    // matter how many workers ran or how they were scheduled.
-    let records: Vec<RunRecord> = parallel::parallel_map(&layouts, jobs, |_, layout| {
-        measure_layout(&ctx, variant, layout)
-    })
-    .unwrap_or_else(|| panic!("battery worker exited without completing its layout"));
-    GridEntry {
+    // Each task is one simulation: (distinct-layout index, the accesses
+    // it replays). The fixed reduction order returns the records in task
+    // order no matter how many workers ran or how they were scheduled.
+    let simulate = |tasks: &[(usize, &[Access])]| -> Vec<RunRecord> {
+        parallel::parallel_map(tasks, jobs, |_, &(d, accesses)| {
+            simulated.fetch_add(1, Ordering::Relaxed);
+            let kept = accesses.len() as u64;
+            replay_layout(
+                &ctx,
+                variant,
+                distinct[d],
+                || accesses.iter().copied(),
+                kept,
+                None,
+            )
+        })
+        .unwrap_or_else(|| panic!("battery worker exited without completing its layout"))
+    };
+    let entry = |measured: &[RunRecord], mode: BatteryMode, gate: Option<GateReport>| GridEntry {
         workload: workload.to_string(),
         platform: variant.name.clone(),
-        records,
-        mode: BatteryMode::Full,
-        gate: None,
+        records: slots.iter().map(|&d| measured[d].clone()).collect(),
+        mode,
+        gate,
+    };
+
+    let Some(cfg) = sampled else {
+        let tasks: Vec<_> = (0..distinct.len()).map(|d| (d, full)).collect();
+        return entry(&simulate(&tasks), BatteryMode::Full, None);
+    };
+    let kept_len = sampling::kept_count(ctx.params.accesses, cfg.window, cfg.period);
+    let mut kept = Vec::with_capacity(kept_len as usize);
+    kept.extend(sampling::windows(
+        full.iter().copied(),
+        cfg.window as usize,
+        cfg.period as usize,
+    ));
+    let windows = kept.as_slice();
+
+    // The gate's anchors: the first all-4KB, first all-2MB, and the
+    // all-1GB layout — the battery's extreme points, where a sampling
+    // scheme that misrepresents TLB behavior has nowhere to hide.
+    let anchors: Vec<usize> = [LayoutKind::All4K, LayoutKind::All2M, LayoutKind::All1G]
+        .iter()
+        .filter_map(|kind| layouts.iter().position(|l| classify(l) == *kind))
+        .map(|i| slots[i])
+        .collect();
+    let tasks: Vec<_> = anchors
+        .iter()
+        .map(|&d| (d, full))
+        .chain((0..distinct.len()).map(|d| (d, windows)))
+        .collect();
+    let mut sampled_records = simulate(&tasks);
+    let anchor_records: Vec<RunRecord> = sampled_records.drain(..anchors.len()).collect();
+    let pairs: Vec<(PmuCounters, PmuCounters)> = anchors
+        .iter()
+        .zip(&anchor_records)
+        .map(|(&d, full)| (full.counters, sampled_records[d].counters))
+        .collect();
+    let gate = sampled::evaluate_gate(&pairs, cfg);
+    if gate.accepted {
+        return entry(&sampled_records, cfg.mode(), Some(gate));
     }
+
+    // Rejected: measure in full every distinct layout the anchors did
+    // not already cover.
+    let rest: Vec<_> = (0..distinct.len())
+        .filter(|d| !anchors.contains(d))
+        .map(|d| (d, full))
+        .collect();
+    let mut rest_records = simulate(&rest).into_iter();
+    let full_records: Vec<RunRecord> = (0..distinct.len())
+        .map(|d| match anchors.iter().position(|&a| a == d) {
+            Some(i) => anchor_records[i].clone(),
+            None => rest_records
+                .next()
+                .unwrap_or_else(|| panic!("battery worker exited without completing its layout")),
+        })
+        .collect();
+    entry(&full_records, BatteryMode::Full, Some(gate))
+}
+
+/// Splits a battery into its distinct layouts, in first-occurrence
+/// order, and a slot map sending each battery position to the index of
+/// its layout in that list. A linear scan: batteries hold a few dozen
+/// layouts, and nothing on a persistence path may depend on a hasher.
+fn distinct_layouts(layouts: &[MemoryLayout]) -> (Vec<&MemoryLayout>, Vec<usize>) {
+    let mut distinct: Vec<&MemoryLayout> = Vec::new();
+    let slots = layouts
+        .iter()
+        .map(|layout| match distinct.iter().position(|d| *d == layout) {
+            Some(i) => i,
+            None => {
+                distinct.push(layout);
+                distinct.len() - 1
+            }
+        })
+        .collect();
+    (distinct, slots)
 }
 
 /// The battery's layout list for one pair: the 54-layout standard
-/// battery (seeded by a full-trace PEBS-like profiling pass) plus the
-/// all-1GB hold-out. Shared verbatim by the full and sampled paths —
-/// identical layout lists are what make a sampled grid comparable,
-/// record for record, with the full grid it stands in for. The
-/// profiling pass always sees the *full* trace even in sampled mode:
-/// it is one cheap pass, and hot-region selection from a thinned trace
-/// would silently change which layouts get measured.
-fn battery_layouts(ctx: &MeasureContext, variant: &MachineVariant) -> Vec<MemoryLayout> {
-    let profile = profile_tlb_misses(
-        &variant.platform,
-        ctx.spec.trace(&ctx.params),
-        ctx.pool,
-        2 << 20,
-    );
+/// battery (seeded by a full-trace PEBS-like profiling pass over
+/// `trace`) plus the all-1GB hold-out. Shared verbatim by the full and
+/// sampled paths — identical layout lists are what make a sampled grid
+/// comparable, record for record, with the full grid it stands in for.
+/// The profiling pass always sees the *full* trace even in sampled
+/// mode: it is one cheap pass, and hot-region selection from a thinned
+/// trace would silently change which layouts get measured.
+fn battery_layouts(
+    ctx: &MeasureContext,
+    variant: &MachineVariant,
+    trace: &[Access],
+) -> Vec<MemoryLayout> {
+    let profile = profile_tlb_misses(&variant.platform, trace.iter().copied(), ctx.pool, 2 << 20);
     let mut layouts: Vec<MemoryLayout> =
         layouts::standard_battery(ctx.pool, |x| profile.hot_region(x))
             .into_iter()
@@ -1120,65 +1275,6 @@ fn battery_layouts(ctx: &MeasureContext, variant: &MachineVariant) -> Vec<Memory
             .collect();
     layouts.push(MemoryLayout::uniform(ctx.pool, PageSize::Huge1G));
     layouts
-}
-
-/// Sampled battery with the cross-validation gate (ROADMAP item (b),
-/// paper §II-C): measure the anchor layouts both full and sampled,
-/// admit the sampled battery only if every anchor's every counter is
-/// within `cfg.bound` relative error, and otherwise fall back to the
-/// full battery with the rejection recorded in the entry's gate. Like
-/// [`compute_entry`], the result is a pure function of
-/// `(speed, workload, variant, cfg)` — never of `jobs`.
-fn compute_entry_sampled(
-    speed: Speed,
-    jobs: usize,
-    workload: &str,
-    variant: &MachineVariant,
-    cfg: SampledConfig,
-) -> GridEntry {
-    let ctx = MeasureContext::new(speed, workload)
-        .unwrap_or_else(|| panic!("unknown workload {workload:?}"));
-    let layouts = battery_layouts(&ctx, variant);
-
-    // The gate's anchors: the first all-4KB, first all-2MB, and the
-    // all-1GB layout — the battery's extreme points, where a sampling
-    // scheme that misrepresents TLB behavior has nowhere to hide.
-    let anchors: Vec<MemoryLayout> = [LayoutKind::All4K, LayoutKind::All2M, LayoutKind::All1G]
-        .iter()
-        .filter_map(|kind| layouts.iter().find(|l| classify(l) == *kind))
-        .cloned()
-        .collect();
-    let pairs: Vec<(PmuCounters, PmuCounters)> =
-        parallel::parallel_map(&anchors, jobs, |_, layout| {
-            let full = measure_layout(&ctx, variant, layout);
-            let sampled = measure_layout_sampled(&ctx, variant, layout, cfg.window, cfg.period);
-            (full.counters, sampled.counters)
-        })
-        .unwrap_or_else(|| panic!("gate worker exited without completing its anchor"));
-    let gate = sampled::evaluate_gate(&pairs, cfg);
-
-    let records: Vec<RunRecord> = if gate.accepted {
-        parallel::parallel_map(&layouts, jobs, |_, layout| {
-            measure_layout_sampled(&ctx, variant, layout, cfg.window, cfg.period)
-        })
-        .unwrap_or_else(|| panic!("sampled battery worker exited without completing its layout"))
-    } else {
-        parallel::parallel_map(&layouts, jobs, |_, layout| {
-            measure_layout(&ctx, variant, layout)
-        })
-        .unwrap_or_else(|| panic!("battery worker exited without completing its layout"))
-    };
-    GridEntry {
-        workload: workload.to_string(),
-        platform: variant.name.clone(),
-        records,
-        mode: if gate.accepted {
-            cfg.mode()
-        } else {
-            BatteryMode::Full
-        },
-        gate: Some(gate),
-    }
 }
 
 /// Coefficient of variation (stddev/mean) of the runtimes of `runs`;
@@ -1372,6 +1468,35 @@ mod tests {
     }
 
     #[test]
+    fn distinct_layouts_keep_first_occurrence_order_and_map_back() {
+        let pool = Region::new(vmcore::VirtAddr::new(0x1000_0000_0000), 64 << 20);
+        let a = MemoryLayout::all_4k(pool);
+        let b = MemoryLayout::uniform(pool, PageSize::Huge2M);
+        let c = MemoryLayout::uniform(pool, PageSize::Huge1G);
+        let battery = [&b, &a, &b, &c, &a, &b].map(Clone::clone);
+        let (distinct, slots) = distinct_layouts(&battery);
+        assert_eq!(distinct, [&b, &a, &c]);
+        assert_eq!(slots, [0, 1, 0, 2, 1, 0]);
+
+        // The same properties on a real battery, which repeats layouts.
+        let ctx = MeasureContext::new(tiny_speed(), "gapbs/bfs-road").unwrap();
+        let variant = MachineVariant::real(&Platform::HASWELL);
+        let layouts = battery_layouts(&ctx, &variant, &ctx.trace_buffer());
+        let (distinct, slots) = distinct_layouts(&layouts);
+        assert_eq!(slots.len(), layouts.len());
+        for (layout, &d) in layouts.iter().zip(&slots) {
+            assert_eq!(distinct[d], layout, "a slot points at an unequal layout");
+        }
+        for (d, layout) in distinct.iter().enumerate() {
+            assert!(!distinct[..d].contains(layout), "duplicate distinct layout");
+            // First-occurrence order: distinct layout `d` first appears
+            // after every earlier one did.
+            let first = slots.iter().position(|&s| s == d).unwrap();
+            assert!(slots[..first].iter().all(|&s| s < d));
+        }
+    }
+
+    #[test]
     fn fnv_distinguishes_names() {
         assert_ne!(fnv(b"gups/8GB"), fnv(b"gups/16GB"));
         assert_eq!(fnv(b"x"), fnv(b"x"));
@@ -1510,6 +1635,7 @@ mod tests {
             memo: Mutex::new(BTreeMap::new()),
             disk_dir: Some(PathBuf::from("/cache")),
             computed: AtomicU64::new(0),
+            simulated: AtomicU64::new(0),
             sampled: None,
             rejections: AtomicU64::new(0),
         };

@@ -76,31 +76,21 @@ impl ReservedPool {
         let mut granted = 0;
         let mut fallback = 0;
         for w in &spec.windows {
-            let huge_flag = match w.size {
-                PageSize::Huge2M => libc::MAP_HUGETLB | libc::MAP_HUGE_2MB,
-                PageSize::Huge1G => libc::MAP_HUGETLB | libc::MAP_HUGE_1GB,
-                PageSize::Base4K => continue,
-            };
-            let win_len = (w.end - w.start) as usize;
+            if w.size == PageSize::Base4K {
+                continue;
+            }
             let target = (base + w.start) as *mut c_void;
-            let mapped = unsafe {
-                RealMem::mmap(
-                    target,
-                    win_len,
-                    libc::PROT_READ | libc::PROT_WRITE,
-                    libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_FIXED | huge_flag,
-                    -1,
-                    0,
-                )
-            };
-            if mapped == libc::MAP_FAILED {
-                if strict {
+            // SAFETY: the window lies inside the reservation mapped above,
+            // which nothing else references yet.
+            match unsafe { map_window(target, (w.end - w.start) as usize, w.size, strict) } {
+                Some(true) => granted += 1,
+                Some(false) => fallback += 1,
+                None => {
+                    // SAFETY: releases the reservation mapped above; no
+                    // reference into it escapes this function.
                     unsafe { RealMem::munmap(base as *mut c_void, len as usize) };
                     return None;
                 }
-                fallback += 1;
-            } else {
-                granted += 1;
             }
         }
         Some(ReservedPool {
@@ -135,6 +125,45 @@ impl ReservedPool {
     fn contains(&self, addr: u64) -> bool {
         addr >= self.base && addr < self.base + self.len
     }
+}
+
+/// Re-maps `len` bytes at `target` with `size` hugepages. Returns
+/// `Some(true)` when the kernel granted them, and `Some(false)` when it
+/// refused and the window was mapped back with base pages (non-strict
+/// mode). `None` means the window is unusable: strict mode, or the
+/// base-page fallback failed too.
+///
+/// The fallback cannot trust the old mapping: a `MAP_FIXED` mmap that
+/// fails may already have unmapped the range (the kernel drops it
+/// before hugetlbfs refuses the reservation, e.g. with no hugepages
+/// configured); trusting it would leave a hole that faults on the
+/// first write.
+///
+/// # Safety
+///
+/// `target..target + len` must lie inside a reservation owned by the
+/// caller that no live reference points into: the range is replaced.
+unsafe fn map_window(
+    target: *mut c_void,
+    len: usize,
+    size: PageSize,
+    strict: bool,
+) -> Option<bool> {
+    let huge_flag = match size {
+        PageSize::Huge2M => libc::MAP_HUGETLB | libc::MAP_HUGE_2MB,
+        PageSize::Huge1G => libc::MAP_HUGETLB | libc::MAP_HUGE_1GB,
+        PageSize::Base4K => 0,
+    };
+    let fixed = libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_FIXED;
+    let rw = libc::PROT_READ | libc::PROT_WRITE;
+    if RealMem::mmap(target, len, rw, fixed | huge_flag, -1, 0) != libc::MAP_FAILED {
+        return Some(true);
+    }
+    if strict {
+        return None;
+    }
+    let restored = RealMem::mmap(target, len, rw, fixed | libc::MAP_NORESERVE, -1, 0);
+    (restored != libc::MAP_FAILED).then_some(false)
 }
 
 /// The global preload state: heap + anonymous pools and the emulated
@@ -338,6 +367,31 @@ mod tests {
         let base = rt.sbrk(1 << 20).unwrap();
         unsafe {
             (base as *mut u8).write(1);
+        }
+    }
+
+    #[test]
+    fn refused_hugepage_window_stays_writable() {
+        // A 2MB-aligned window, so the hugetlb remap passes its alignment
+        // check and reaches the reservation. Where the kernel has no
+        // hugepages to give, the failed MAP_FIXED unmapped the window and
+        // the fallback used to write into a hole.
+        let len = 6 << 20;
+        let rw = libc::PROT_READ | libc::PROT_WRITE;
+        let flags = libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_NORESERVE;
+        let raw = unsafe { RealMem::mmap(std::ptr::null_mut(), len, rw, flags, -1, 0) };
+        assert_ne!(raw, libc::MAP_FAILED);
+        let aligned = (raw as u64).next_multiple_of(2 << 20);
+        let window = 2 << 20;
+        // SAFETY: the window lies inside the 6MB reservation above.
+        let outcome =
+            unsafe { map_window(aligned as *mut c_void, window, PageSize::Huge2M, false) };
+        assert!(outcome.is_some(), "non-strict mode always leaves a mapping");
+        unsafe {
+            (aligned as *mut u8).write(1);
+            ((aligned + window as u64 - 1) as *mut u8).write(2);
+            assert_eq!((aligned as *mut u8).read(), 1);
+            RealMem::munmap(raw, len);
         }
     }
 

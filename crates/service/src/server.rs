@@ -113,6 +113,10 @@ pub struct ServerConfig {
     /// `trace` verb; older traces are evicted (and counted as dropped)
     /// rather than growing memory.
     pub trace_capacity: usize,
+    /// Fault injection for the panic-shield regression test: when set,
+    /// the request line `inject-panic` panics inside the handler. Off
+    /// by default, where the line is an unknown command.
+    pub inject_panic: bool,
 }
 
 impl Default for ServerConfig {
@@ -122,6 +126,7 @@ impl Default for ServerConfig {
             workers: 4,
             queue_bound: 64,
             trace_capacity: 256,
+            inject_panic: false,
         }
     }
 }
@@ -168,6 +173,8 @@ struct Shared {
     sim_stages: StageSums,
     /// Ring of the most recent finished traces, served by `trace`.
     traces: TraceRing,
+    /// [`ServerConfig::inject_panic`].
+    inject_panic: bool,
 }
 
 /// A running mosaicd instance. Dropping the handle without calling
@@ -214,6 +221,7 @@ impl Server {
             wall_stages: StageSums::new(&WALL_STAGES),
             sim_stages: StageSums::new(&SIM_STAGES),
             traces: TraceRing::new(config.trace_capacity),
+            inject_panic: config.inject_panic,
         });
 
         let acceptor = {
@@ -774,11 +782,10 @@ fn handle_line(
 ) -> (String, &'static str, bool, bool) {
     // Fault-injection hook for the shield regression test: the only way
     // to prove a worker survives a handler panic is to panic in a
-    // handler. Debug builds only; release servers treat the verb as an
+    // handler. Servers not configured for it treat the verb as an
     // unknown command.
-    #[cfg(debug_assertions)]
-    if line == "inject-panic" {
-        // audit:allow(panic-surface) deliberate fault injection, compiled out of release; the shield test depends on it
+    if shared.inject_panic && line == "inject-panic" {
+        // audit:allow(panic-surface) deliberate fault injection, off unless ServerConfig::inject_panic is set; the shield test depends on it
         panic!("injected worker panic (requested by the shield regression test)");
     }
     let parse_start = tracer.now_us();

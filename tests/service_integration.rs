@@ -124,14 +124,16 @@ fn concurrent_predictions_match_in_process_bit_for_bit() {
 
 /// A pool of one worker, fed every kind of hostile input we can type:
 /// malformed verbs, wrong arity, bad specs, raw binary, and (via the
-/// debug-only `inject-panic` hook) a genuine handler panic. If any of
-/// them killed the lone worker, every later exchange would time out —
-/// so a passing run proves malformed requests cannot drain the pool.
+/// `inject-panic` hook this server is configured with) a genuine
+/// handler panic. If any of them killed the lone worker, every later
+/// exchange would time out — so a passing run proves malformed requests
+/// cannot drain the pool.
 #[test]
 fn hostile_requests_cannot_kill_the_worker_pool() {
     let config = ServerConfig {
         workers: 1,
         queue_bound: 16,
+        inject_panic: true,
         ..Default::default()
     };
     let server = Server::start(config, ModelRegistry::new(Grid::in_memory(TINY), None)).unwrap();
@@ -212,7 +214,7 @@ fn hostile_requests_cannot_kill_the_worker_pool() {
         );
     }
 
-    // A genuine panic inside request handling (debug-only fault
+    // A genuine panic inside request handling (configured fault
     // injection) is contained by the shield: the same connection gets an
     // `err internal` response and keeps working.
     let replies = exchange(&[b"inject-panic", b"stats"]);
