@@ -22,6 +22,7 @@ use libc::{poll_fds, pollfd, POLLIN, POLLOUT};
 use machine::{profile_tlb_misses, Engine, Platform};
 use mosmodel::dataset::{Dataset, LayoutKind, Sample};
 use service::client::Client;
+use service::metrics::StatsSnapshot;
 use service::registry::ModelRegistry;
 use service::server::{Server, ServerConfig};
 use vmcore::{MemoryLayout, PageSize, Region, VirtAddr};
@@ -158,18 +159,15 @@ pub fn run_bench(speed: Speed, workload: &str, platform: &'static Platform) -> B
     let server = Server::start(config, registry).expect("bind loopback");
     let mut client = Client::connect(server.addr()).expect("connect to own server");
 
-    let layout_specs = LAYOUT_SPECS;
-
     // The first request through the server is deliberately cold: it
     // blocks on the registry's singleflight model fit, so its latency
     // is exactly what a `warm` request (or `mosaic serve --warm`) moves
     // off the request path.
     let cold_started = Instant::now();
     client
-        .predict(workload, platform.name, layout_specs[0], None)
+        .predict(workload, platform.name, LAYOUT_SPECS[0], None)
         .expect("cold predict");
     let cold_us = cold_started.elapsed().as_micros() as f64;
-    let after_cold = server.stats();
     // The server traced the cold request into its ring; the newest
     // wall-domain predict trace is its stage breakdown (read/parse/
     // fit/cache_lookup/simulate/render, µs since the first byte).
@@ -184,25 +182,17 @@ pub fn run_bench(speed: Speed, workload: &str, platform: &'static Platform) -> B
         })
         .map_or_else(|| "-".to_string(), |t| stage_tokens(&t.spans));
 
-    let mut total = Duration::ZERO;
-    for i in 0..SERVICE_REQUESTS {
-        let layout = layout_specs[i % layout_specs.len()];
-        let one = Instant::now();
-        client
-            .predict(workload, platform.name, layout, None)
-            .expect("timed predict");
-        total += one.elapsed();
-    }
     // Percentiles come from the server's own histogram, as the delta
-    // over the cold request's snapshot so the fit doesn't pollute the
-    // warm distribution; the mean is client-side, so it also includes
-    // the loopback round-trip.
-    let snap = server.stats();
+    // over the snapshot taken just before the timed loop, so neither the
+    // fit nor the first simulation of each spec pollutes the warm
+    // distribution; the mean is client-side, so it also includes the
+    // loopback round-trip.
+    let (total, before, snap) = warm_predicts(&server, &mut client, workload, platform.name);
     let mut warm_buckets = snap.buckets;
-    for (warm, cold) in warm_buckets.iter_mut().zip(after_cold.buckets) {
-        *warm = warm.saturating_sub(cold);
+    for (warm, earlier) in warm_buckets.iter_mut().zip(before.buckets) {
+        *warm = warm.saturating_sub(earlier);
     }
-    let warm_only = service::metrics::StatsSnapshot {
+    let warm_only = StatsSnapshot {
         buckets: warm_buckets,
         ..snap
     };
@@ -264,6 +254,35 @@ pub fn run_bench(speed: Speed, workload: &str, platform: &'static Platform) -> B
         recommend: recommend_bench,
         conns: conns_bench,
     }
+}
+
+/// The service leg's steady state. Each of [`LAYOUT_SPECS`] is predicted
+/// once untimed, so every timed request is a prediction-cache hit; then
+/// [`SERVICE_REQUESTS`] predicts are timed. Returns their summed
+/// client-side latency and the server's stats just before and just after
+/// the timed loop.
+fn warm_predicts(
+    server: &Server,
+    client: &mut Client,
+    workload: &str,
+    platform: &str,
+) -> (Duration, StatsSnapshot, StatsSnapshot) {
+    for layout in LAYOUT_SPECS {
+        client
+            .predict(workload, platform, layout, None)
+            .expect("untimed warm-up predict");
+    }
+    let before = server.stats();
+    let mut total = Duration::ZERO;
+    for i in 0..SERVICE_REQUESTS {
+        let layout = LAYOUT_SPECS[i % LAYOUT_SPECS.len()];
+        let one = Instant::now();
+        client
+            .predict(workload, platform, layout, None)
+            .expect("timed predict");
+        total += one.elapsed();
+    }
+    (total, before, server.stats())
 }
 
 /// Times the identical cold battery twice on fresh in-memory grids —
@@ -586,6 +605,31 @@ mod tests {
         assert_eq!(civil_from_days(11_017), "2000-03-01");
         assert_eq!(civil_from_days(19_723), "2024-01-01");
         assert_eq!(civil_from_days(20_671), "2026-08-06");
+    }
+
+    #[test]
+    fn warm_leg_times_prediction_cache_hits_only() {
+        // A low-fidelity preset so the model fit takes seconds.
+        let tiny = Speed {
+            name: "tiny",
+            footprint_div: 1024,
+            min_footprint: 48 << 20,
+            accesses: 12_000,
+            max_reps: 1,
+        };
+        let registry = ModelRegistry::new(Grid::in_memory(tiny), None);
+        let server = Server::start(ServerConfig::default(), registry).expect("bind loopback");
+        let mut client = Client::connect(server.addr()).expect("connect to own server");
+        let (_, before, after) = warm_predicts(&server, &mut client, "gups/8GB", "SandyBridge");
+        assert_eq!(
+            after.cache.misses, before.cache.misses,
+            "a timed warm request ran a simulation"
+        );
+        assert_eq!(
+            after.cache.hits - before.cache.hits,
+            SERVICE_REQUESTS as u64
+        );
+        server.shutdown();
     }
 
     #[test]

@@ -1,8 +1,18 @@
-//! Generic set-associative LRU cache of 64-bit tags.
+//! Generic set-associative LRU cache.
 //!
 //! One implementation serves every lookup structure in the simulator:
-//! data caches (tag = physical line address), TLBs (tag = virtual page
-//! number) and page-walk caches (tag = VA prefix).
+//! data caches (tag = physical line number, `u32`), TLBs (tag = virtual
+//! page number, `u64`) and page-walk caches (tag = VA prefix, `u64`).
+//!
+//! The state is compact and set-major. Each way is a `(tag, stamp)`
+//! pair and a set's ways are contiguous, so a lookup touches only its own
+//! set's bytes. The array is allocated zeroed: LRU stamp 0 means
+//! "invalid" and every valid stamp is at least 1. Stamps are 32-bit; when
+//! the clock would overflow, each set's stamps are renumbered `1..=k` in
+//! their existing order. Stamps only order the ways within one set, so no
+//! replacement decision changes.
+
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
@@ -43,6 +53,27 @@ impl CacheGeometry {
     }
 }
 
+/// A tag width [`SetAssocCache`] can store: `u64` for the translation
+/// structures (STLB tags carry page-size bits at bit 60) and `u32` for
+/// the data-cache hierarchy (physical line numbers, see
+/// [`crate::MemoryHierarchy`]).
+pub trait CacheTag: Copy + Eq + Default + fmt::Debug + Into<u64> {}
+
+impl CacheTag for u64 {}
+
+impl CacheTag for u32 {}
+
+/// One way of a set: its tag and LRU stamp (higher = more recent). Stamp
+/// 0 marks an invalid way, whose tag means nothing. A tuple rather than a
+/// struct so that `vec![(0, 0); n]` takes the zeroed-allocation path.
+type Way<T> = (T, u32);
+
+/// Whether `way` holds `tag`; an invalid way holds nothing.
+#[inline]
+fn holds<T: CacheTag>((t, stamp): Way<T>, tag: T) -> bool {
+    t == tag && stamp != 0
+}
+
 /// A set-associative cache with true-LRU replacement.
 ///
 /// Stores only tags; payloads are reconstructed by callers (the simulator
@@ -53,44 +84,49 @@ impl CacheGeometry {
 /// ```
 /// use memsim::{CacheGeometry, SetAssocCache};
 ///
-/// let mut cache = SetAssocCache::new(CacheGeometry::new(4, 2));
+/// let mut cache = SetAssocCache::<u64>::new(CacheGeometry::new(4, 2));
 /// assert!(!cache.access(7)); // cold miss (inserted)
 /// assert!(cache.access(7));  // hit
 /// ```
 #[derive(Clone, Debug)]
-pub struct SetAssocCache {
+pub struct SetAssocCache<T: CacheTag> {
     geometry: CacheGeometry,
-    /// `sets × ways` tags; `u64::MAX` marks an invalid way.
-    tags: Vec<u64>,
-    /// LRU stamps parallel to `tags` (higher = more recent).
-    stamps: Vec<u64>,
-    clock: u64,
+    /// `sets × ways` ways, set-major: set `s` owns
+    /// `lines[s * ways..(s + 1) * ways]`.
+    lines: Vec<Way<T>>,
+    /// The last stamp handed out.
+    clock: u32,
     hits: u64,
     misses: u64,
     /// Number of sets, precomputed (the division `entries / ways` must
     /// stay out of the per-access path).
     sets: u64,
-    /// `sets - 1` when the set count is a power of two — the common case
-    /// for every TLB and cache geometry in the paper — letting set
-    /// selection use a mask instead of a u64 modulo. `tag & mask` and
-    /// `tag % sets` pick the same set, so behaviour is bit-identical.
+    /// `sets - 1` when the set count is a power of two (every TLB, L1d
+    /// and L2 in the paper, but not the L3s), letting set selection use a
+    /// mask instead of a u64 modulo. `tag & mask` and `tag % sets` pick
+    /// the same set, so behaviour is bit-identical.
     pow2_mask: Option<u64>,
     /// Associativity, precomputed as usize for indexing.
     ways: usize,
 }
 
-const INVALID: u64 = u64::MAX;
-
-impl SetAssocCache {
+impl<T: CacheTag> SetAssocCache<T> {
     /// Creates an empty cache.
     pub fn new(geometry: CacheGeometry) -> Self {
-        let n = geometry.entries as usize;
+        Self::with_clock(geometry, 0)
+    }
+
+    /// Creates an empty cache whose LRU clock starts at `clock`. No
+    /// replacement decision depends on the starting value; a start just
+    /// below `u32::MAX` drives the cache across the clock's overflow
+    /// without four billion accesses. A test hook, not a tuning option.
+    #[doc(hidden)]
+    pub fn with_clock(geometry: CacheGeometry, clock: u32) -> Self {
         let sets = u64::from(geometry.sets());
         SetAssocCache {
             geometry,
-            tags: vec![INVALID; n],
-            stamps: vec![0; n],
-            clock: 0,
+            lines: vec![(T::default(), 0); geometry.entries as usize],
+            clock,
             hits: 0,
             misses: 0,
             sets,
@@ -107,7 +143,7 @@ impl SetAssocCache {
     /// Looks up `tag`; on miss, inserts it (evicting the set's LRU way).
     /// Returns whether the lookup hit.
     #[inline]
-    pub fn access(&mut self, tag: u64) -> bool {
+    pub fn access(&mut self, tag: T) -> bool {
         self.access_locating(tag).0
     }
 
@@ -117,8 +153,8 @@ impl SetAssocCache {
     /// stays valid until another tag evicts it, which callers detect by
     /// re-checking with [`SetAssocCache::hit_at`].
     #[inline]
-    pub fn access_locating(&mut self, tag: u64) -> (bool, u32) {
-        let (hit, slot) = self.touch_locating(tag, true);
+    pub fn access_locating(&mut self, tag: T) -> (bool, u32) {
+        let (hit, slot) = self.touch(tag);
         if hit {
             self.hits += 1;
         } else {
@@ -134,36 +170,35 @@ impl SetAssocCache {
     /// count) and returns `true`. Otherwise the cache is untouched and
     /// the caller must fall back to the full lookup.
     #[inline]
-    pub fn hit_at(&mut self, slot: u32, tag: u64) -> bool {
+    pub fn hit_at(&mut self, slot: u32, tag: T) -> bool {
         let slot = slot as usize;
-        if self.tags.get(slot).copied() == Some(tag) {
-            self.clock += 1;
-            self.stamps[slot] = self.clock;
+        let resident = self.lines.get(slot).is_some_and(|&way| holds(way, tag));
+        if resident {
+            let stamp = self.tick();
+            self.lines[slot].1 = stamp;
             self.hits += 1;
-            true
-        } else {
-            false
         }
+        resident
     }
 
     /// Looks up `tag` without inserting on miss. Does not update stats.
     #[inline]
-    pub fn probe(&self, tag: u64) -> bool {
-        debug_assert_ne!(tag, INVALID, "tag collides with the invalid marker");
-        let (start, ways) = self.set_bounds(tag);
-        self.tags[start..start + ways].contains(&tag)
+    pub fn probe(&self, tag: T) -> bool {
+        let start = self.set_start(tag);
+        self.lines[start..start + self.ways]
+            .iter()
+            .any(|&way| holds(way, tag))
     }
 
     /// Inserts `tag` unconditionally (used for fills from outer levels).
     #[inline]
-    pub fn insert(&mut self, tag: u64) {
-        self.touch(tag, true);
+    pub fn insert(&mut self, tag: T) {
+        self.touch(tag);
     }
 
     /// Invalidates every entry but keeps statistics.
     pub fn flush(&mut self) {
-        self.tags.fill(INVALID);
-        self.stamps.fill(0);
+        self.lines.fill((T::default(), 0));
     }
 
     /// Lifetime hit count.
@@ -178,55 +213,69 @@ impl SetAssocCache {
 
     /// Number of currently valid entries.
     pub fn occupancy(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != INVALID).count()
+        self.lines.iter().filter(|&&(_, stamp)| stamp != 0).count()
     }
 
+    /// Index of the first way of `tag`'s set.
     #[inline]
-    fn set_bounds(&self, tag: u64) -> (usize, usize) {
+    fn set_start(&self, tag: T) -> usize {
         let set = match self.pow2_mask {
-            Some(mask) => (tag & mask) as usize,
-            None => (tag % self.sets) as usize,
+            Some(mask) => tag.into() & mask,
+            None => tag.into() % self.sets,
         };
-        (set * self.ways, self.ways)
+        set as usize * self.ways
     }
 
-    /// Core lookup; optionally inserts on miss. Returns hit status.
+    /// Advances the clock and returns the new stamp.
     #[inline]
-    fn touch(&mut self, tag: u64, insert_on_miss: bool) -> bool {
-        self.touch_locating(tag, insert_on_miss).0
-    }
-
-    /// Core lookup; optionally inserts on miss. Returns hit status and
-    /// the global slot now holding `tag` (unchanged LRU victim slot when
-    /// `insert_on_miss` is false and the lookup missed).
-    #[inline]
-    fn touch_locating(&mut self, tag: u64, insert_on_miss: bool) -> (bool, u32) {
-        debug_assert_ne!(tag, INVALID, "tag collides with the invalid marker");
-        self.clock += 1;
-        let (start, ways) = self.set_bounds(tag);
-        let set_tags = &mut self.tags[start..start + ways];
-        if let Some(i) = set_tags.iter().position(|&t| t == tag) {
-            self.stamps[start + i] = self.clock;
-            return (true, (start + i) as u32);
+    fn tick(&mut self) -> u32 {
+        if self.clock == u32::MAX {
+            self.rebase();
         }
-        // Choose an invalid way, else the LRU way.
-        let victim = match set_tags.iter().position(|&t| t == INVALID) {
-            Some(i) => i,
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Renumbers each set's valid stamps `1..=k` in their existing order
+    /// and restarts the clock above every renumbered stamp.
+    #[cold]
+    fn rebase(&mut self) {
+        let mut order: Vec<usize> = Vec::with_capacity(self.ways);
+        for set in self.lines.chunks_exact_mut(self.ways) {
+            order.clear();
+            order.extend((0..set.len()).filter(|&way| set[way].1 != 0));
+            order.sort_unstable_by_key(|&way| set[way].1);
+            for (stamp, &way) in (1..).zip(&order) {
+                set[way].1 = stamp;
+            }
+        }
+        self.clock = self.geometry.ways;
+    }
+
+    /// Core lookup: on a miss inserts `tag` over the set's victim, the
+    /// first way with the minimum stamp. Invalid ways have stamp 0 and
+    /// valid ones at least 1, so that is the first invalid way if there
+    /// is one, else the LRU way. Returns hit status and the global slot
+    /// now holding `tag`.
+    #[inline]
+    fn touch(&mut self, tag: T) -> (bool, u32) {
+        let stamp = self.tick();
+        let start = self.set_start(tag);
+        let set = &mut self.lines[start..start + self.ways];
+        let (hit, way) = match set.iter().position(|&way| holds(way, tag)) {
+            Some(way) => (true, way),
             None => {
-                let mut lru = 0;
-                for i in 1..ways {
-                    if self.stamps[start + i] < self.stamps[start + lru] {
-                        lru = i;
+                let mut victim = 0;
+                for way in 1..set.len() {
+                    if set[way].1 < set[victim].1 {
+                        victim = way;
                     }
                 }
-                lru
+                (false, victim)
             }
         };
-        if insert_on_miss {
-            self.tags[start + victim] = tag;
-            self.stamps[start + victim] = self.clock;
-        }
-        (false, (start + victim) as u32)
+        set[way] = (tag, stamp);
+        (hit, (start + way) as u32)
     }
 }
 
@@ -256,7 +305,7 @@ mod tests {
 
     #[test]
     fn hit_after_insert() {
-        let mut c = SetAssocCache::new(CacheGeometry::new(8, 2));
+        let mut c = SetAssocCache::<u64>::new(CacheGeometry::new(8, 2));
         assert!(!c.access(100));
         assert!(c.access(100));
         assert_eq!(c.hits(), 1);
@@ -264,9 +313,20 @@ mod tests {
     }
 
     #[test]
+    fn tag_zero_is_not_resident_in_a_fresh_cache() {
+        // Fresh ways hold tag 0 with stamp 0: the stamp, not the tag,
+        // decides validity.
+        let mut c = SetAssocCache::<u32>::new(CacheGeometry::new(8, 2));
+        assert!(!c.probe(0));
+        assert!(!c.access(0));
+        assert!(c.access(0));
+        assert_eq!(c.occupancy(), 1);
+    }
+
+    #[test]
     fn lru_evicts_least_recent() {
         // Fully associative, 2 entries.
-        let mut c = SetAssocCache::new(CacheGeometry::full(2));
+        let mut c = SetAssocCache::<u64>::new(CacheGeometry::full(2));
         c.access(1);
         c.access(2);
         c.access(1); // 2 is now LRU
@@ -279,7 +339,7 @@ mod tests {
     #[test]
     fn sets_isolate_conflicts() {
         // 2 sets x 1 way: even and odd tags do not evict each other.
-        let mut c = SetAssocCache::new(CacheGeometry::new(2, 1));
+        let mut c = SetAssocCache::<u64>::new(CacheGeometry::new(2, 1));
         c.access(2);
         c.access(3);
         assert!(c.probe(2));
@@ -291,14 +351,14 @@ mod tests {
 
     #[test]
     fn probe_does_not_insert() {
-        let c = SetAssocCache::new(CacheGeometry::new(4, 4));
+        let c = SetAssocCache::<u64>::new(CacheGeometry::new(4, 4));
         assert!(!c.probe(9));
         assert_eq!(c.occupancy(), 0);
     }
 
     #[test]
     fn flush_clears_entries_keeps_stats() {
-        let mut c = SetAssocCache::new(CacheGeometry::new(4, 4));
+        let mut c = SetAssocCache::<u64>::new(CacheGeometry::new(4, 4));
         c.access(1);
         c.access(1);
         c.flush();
@@ -314,8 +374,8 @@ mod tests {
         // observable state (probe results, stats, later evictions) to
         // match exactly.
         let geometry = CacheGeometry::new(8, 2);
-        let mut plain = SetAssocCache::new(geometry);
-        let mut fast = SetAssocCache::new(geometry);
+        let mut plain = SetAssocCache::<u64>::new(geometry);
+        let mut fast = SetAssocCache::<u64>::new(geometry);
         let tags = [3u64, 7, 3, 11, 3, 15, 19, 3, 7, 23, 3];
         let mut last_slot: Option<(u64, u32)> = None;
         for &tag in &tags {
@@ -343,7 +403,7 @@ mod tests {
 
     #[test]
     fn hit_at_rejects_stale_slot() {
-        let mut c = SetAssocCache::new(CacheGeometry::full(2));
+        let mut c = SetAssocCache::<u64>::new(CacheGeometry::full(2));
         let (_, slot) = c.access_locating(1);
         c.access(2);
         c.access(3); // evicts 1 (the LRU)
@@ -354,10 +414,19 @@ mod tests {
     }
 
     #[test]
+    fn hit_at_rejects_a_flushed_slot() {
+        let mut c = SetAssocCache::<u32>::new(CacheGeometry::full(2));
+        let (_, slot) = c.access_locating(0);
+        c.flush();
+        assert!(!c.hit_at(slot, 0), "an invalid way must not hit tag 0");
+        assert_eq!(c.hits(), 0);
+    }
+
+    #[test]
     fn pow2_and_modulo_indexing_agree() {
         // 8 sets is a power of two: the masked path must land tags in the
         // same sets the modulo path would.
-        let mut c = SetAssocCache::new(CacheGeometry::new(8, 1));
+        let mut c = SetAssocCache::<u64>::new(CacheGeometry::new(8, 1));
         for tag in 0..8u64 {
             c.access(tag);
         }
@@ -372,8 +441,24 @@ mod tests {
     }
 
     #[test]
+    fn rebase_keeps_each_sets_lru_order() {
+        // One 3-way set filled as 1, 2, 3 and re-touched as 1: LRU order
+        // is 2, 3, 1. Cross the clock overflow, then insert two tags; they
+        // must evict 2 then 3.
+        let mut c = SetAssocCache::<u64>::with_clock(CacheGeometry::full(3), u32::MAX - 4);
+        for tag in [1, 2, 3, 1] {
+            c.access(tag);
+        }
+        c.access(4); // the tick that rebases
+        assert!(!c.probe(2));
+        c.access(5);
+        assert!(!c.probe(3));
+        assert!(c.probe(1) && c.probe(4) && c.probe(5));
+    }
+
+    #[test]
     fn working_set_within_capacity_always_hits_once_warm() {
-        let mut c = SetAssocCache::new(CacheGeometry::new(64, 4));
+        let mut c = SetAssocCache::<u64>::new(CacheGeometry::new(64, 4));
         for round in 0..3 {
             for tag in 0..64u64 {
                 let hit = c.access(tag);

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 use vmcore::PhysAddr;
 
+use crate::platform::line_count;
 use crate::{CacheGeometry, CacheLatencies, Platform, SetAssocCache};
 
 /// Where a memory reference was satisfied.
@@ -37,6 +38,10 @@ pub struct LoadCounts {
 /// so walker traffic evicts program lines — the pollution effect the paper
 /// measures in Table 7. Counts are kept separately per requester.
 ///
+/// Line tags are `u32`: [`PageTable`](crate::PageTable) places every
+/// physical address below 128 GiB, so a line number needs 31 bits.
+/// [`MemoryHierarchy::access`] checks the conversion.
+///
 /// # Example
 ///
 /// ```
@@ -52,9 +57,9 @@ pub struct LoadCounts {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MemoryHierarchy {
-    l1d: SetAssocCache,
-    l2: SetAssocCache,
-    l3: SetAssocCache,
+    l1d: SetAssocCache<u32>,
+    l2: SetAssocCache<u32>,
+    l3: SetAssocCache<u32>,
     lat: CacheLatencies,
     program: LoadCounts,
     walker: LoadCounts,
@@ -62,12 +67,20 @@ pub struct MemoryHierarchy {
 
 impl MemoryHierarchy {
     /// Builds the hierarchy for a platform (64-byte lines throughout).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cache size is not a whole number of lines or has more
+    /// lines than a `u32` counts; [`Platform::validate`] rejects both.
     pub fn new(platform: &Platform) -> Self {
-        let geom = |bytes: u64, ways: u32| CacheGeometry::new((bytes / 64) as u32, ways);
+        let cache = |name: &str, bytes: u64, ways: u32| {
+            let lines = line_count(bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+            SetAssocCache::new(CacheGeometry::new(lines, ways))
+        };
         MemoryHierarchy {
-            l1d: SetAssocCache::new(geom(platform.l1d_bytes, platform.l1d_ways)),
-            l2: SetAssocCache::new(geom(platform.l2_bytes, platform.l2_ways)),
-            l3: SetAssocCache::new(geom(platform.l3_bytes, platform.l3_ways)),
+            l1d: cache("l1d", platform.l1d_bytes, platform.l1d_ways),
+            l2: cache("l2", platform.l2_bytes, platform.l2_ways),
+            l3: cache("l3", platform.l3_bytes, platform.l3_ways),
             lat: platform.lat,
             program: LoadCounts::default(),
             walker: LoadCounts::default(),
@@ -78,9 +91,15 @@ impl MemoryHierarchy {
     /// back (inclusive hierarchy). `is_walker` selects the counter class.
     ///
     /// Returns the satisfying level and its load-to-use latency in cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` lies at or above 256 GiB, where a line number
+    /// no longer fits the 32-bit tags.
     #[inline]
     pub fn access(&mut self, addr: PhysAddr, is_walker: bool) -> (HitLevel, u32) {
-        let line = addr.cache_line();
+        let line = u32::try_from(addr.cache_line())
+            .expect("physical address beyond the 32-bit line tags (PageTable stays below 128 GiB)");
         let counts = if is_walker {
             &mut self.walker
         } else {
@@ -194,6 +213,39 @@ mod tests {
         assert!(mem.latency_of(HitLevel::L1d) < mem.latency_of(HitLevel::L2));
         assert!(mem.latency_of(HitLevel::L2) < mem.latency_of(HitLevel::L3));
         assert!(mem.latency_of(HitLevel::L3) < mem.latency_of(HitLevel::Dram));
+    }
+
+    #[test]
+    #[should_panic(expected = "l2: 262176 bytes is not a whole number")]
+    fn constructor_rejects_a_size_that_is_not_whole_lines() {
+        MemoryHierarchy::new(&Platform {
+            l2_bytes: (256 << 10) + 32,
+            ..Platform::SANDY_BRIDGE
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "l3: 4294967296 lines do not fit in a u32")]
+    fn constructor_rejects_a_line_count_beyond_u32() {
+        MemoryHierarchy::new(&Platform {
+            l3_bytes: 64 << 32,
+            l3_ways: 16,
+            ..Platform::SANDY_BRIDGE
+        });
+    }
+
+    #[test]
+    fn top_of_the_simulated_physical_space_is_cacheable() {
+        let mut mem = MemoryHierarchy::new(&small_platform());
+        let top = PhysAddr::new((128 << 30) - 64);
+        assert_eq!(mem.access(top, false).0, HitLevel::Dram);
+        assert_eq!(mem.access(top, false).0, HitLevel::L1d);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the 32-bit line tags")]
+    fn addresses_past_the_line_tag_range_are_refused() {
+        MemoryHierarchy::new(&small_platform()).access(PhysAddr::new(256 << 30), false);
     }
 
     #[test]

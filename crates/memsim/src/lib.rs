@@ -49,7 +49,7 @@ mod pwc;
 mod subsystem;
 mod tlb;
 
-pub use cache::{CacheGeometry, SetAssocCache};
+pub use cache::{CacheGeometry, CacheTag, SetAssocCache};
 pub use hash::splitmix64;
 pub use hierarchy::{HitLevel, LoadCounts, MemoryHierarchy};
 pub use nested::{NestedWalkInfo, NestedWalker};

@@ -406,8 +406,9 @@ impl Platform {
     /// # Errors
     ///
     /// Returns a human-readable message when a geometry is inconsistent
-    /// (zero ways, entries not divisible by ways, non-positive engine
-    /// parameters, or inverted latencies).
+    /// (zero ways, entries not divisible by ways, a cache size that is
+    /// not a whole number of 64-byte lines or has more lines than a `u32`
+    /// counts, non-positive engine parameters, or inverted latencies).
     pub fn validate(&self) -> Result<(), String> {
         let tlb = |name: &str, g: TlbGeometry| -> Result<(), String> {
             if g.ways == 0 || g.entries == 0 {
@@ -432,8 +433,8 @@ impl Platform {
             ("l2", self.l2_bytes, self.l2_ways),
             ("l3", self.l3_bytes, self.l3_ways),
         ] {
-            let lines = bytes / 64;
-            if ways == 0 || lines == 0 || !lines.is_multiple_of(u64::from(ways)) {
+            let lines = line_count(bytes).map_err(|e| format!("{name}: {e}"))?;
+            if ways == 0 || lines == 0 || !lines.is_multiple_of(ways) {
                 return Err(format!(
                     "{name}: {lines} lines not divisible by {ways} ways"
                 ));
@@ -465,6 +466,23 @@ impl Platform {
             PageSize::Huge1G => self.l1_tlb_1g,
         }
     }
+}
+
+/// Number of 64-byte lines in a data cache of `bytes`.
+///
+/// # Errors
+///
+/// Returns a message when `bytes` is not a whole number of lines, or
+/// when the line count does not fit the `u32` of a [`CacheGeometry`].
+///
+/// [`CacheGeometry`]: crate::CacheGeometry
+pub(crate) fn line_count(bytes: u64) -> Result<u32, String> {
+    if !bytes.is_multiple_of(64) {
+        return Err(format!(
+            "{bytes} bytes is not a whole number of 64-byte lines"
+        ));
+    }
+    u32::try_from(bytes / 64).map_err(|_| format!("{} lines do not fit in a u32", bytes / 64))
 }
 
 #[cfg(test)]
@@ -583,6 +601,32 @@ mod tests {
             ..Platform::SANDY_BRIDGE
         };
         assert!(bad_stlb.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_cache_size_that_is_not_whole_lines() {
+        // Flooring would make this 245760 lines, a multiple of 20 ways.
+        let ragged = Platform {
+            l3_bytes: (15 << 20) + 32,
+            ..Platform::SANDY_BRIDGE
+        };
+        let err = ragged.validate().unwrap_err();
+        assert!(
+            err.starts_with("l3:") && err.contains("whole number"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn validate_rejects_a_line_count_beyond_u32() {
+        // 2^32 lines split evenly into 16 ways, yet `as u32` makes them 0.
+        let huge = Platform {
+            l3_bytes: 64 << 32,
+            l3_ways: 16,
+            ..Platform::SANDY_BRIDGE
+        };
+        let err = huge.validate().unwrap_err();
+        assert!(err.starts_with("l3:") && err.contains("u32"), "{err}");
     }
 
     #[test]

@@ -25,12 +25,12 @@ pub enum PwcLevel {
 /// disabled (always misses) — used by the `ablation_pwc` study.
 #[derive(Clone, Debug)]
 pub struct WalkCaches {
-    pml4e: Option<SetAssocCache>,
-    pdpte: Option<SetAssocCache>,
-    pde: Option<SetAssocCache>,
+    pml4e: Option<SetAssocCache<u64>>,
+    pdpte: Option<SetAssocCache<u64>>,
+    pde: Option<SetAssocCache<u64>>,
 }
 
-fn maybe_cache(entries: u32) -> Option<SetAssocCache> {
+fn maybe_cache(entries: u32) -> Option<SetAssocCache<u64>> {
     (entries > 0).then(|| SetAssocCache::new(CacheGeometry::full(entries)))
 }
 
@@ -103,7 +103,7 @@ impl WalkCaches {
 
     /// Hit counters per cache, for diagnostics: `(pml4e, pdpte, pde)`.
     pub fn hits(&self) -> (u64, u64, u64) {
-        let h = |c: &Option<SetAssocCache>| c.as_ref().map_or(0, SetAssocCache::hits);
+        let h = |c: &Option<SetAssocCache<u64>>| c.as_ref().map_or(0, SetAssocCache::hits);
         (h(&self.pml4e), h(&self.pdpte), h(&self.pde))
     }
 
@@ -131,7 +131,7 @@ impl WalkCaches {
 }
 
 /// Looks up a possibly-disabled cache.
-fn access(cache: &mut Option<SetAssocCache>, tag: u64) -> bool {
+fn access(cache: &mut Option<SetAssocCache<u64>>, tag: u64) -> bool {
     cache.as_mut().is_some_and(|c| c.access(tag))
 }
 

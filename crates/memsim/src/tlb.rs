@@ -19,7 +19,7 @@ use crate::{CacheGeometry, Platform, SetAssocCache, StlbGeometry};
 /// ```
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    cache: SetAssocCache,
+    cache: SetAssocCache<u64>,
     size: PageSize,
 }
 
@@ -86,8 +86,8 @@ impl Tlb {
 #[derive(Clone, Debug)]
 pub struct Stlb {
     geometry: StlbGeometry,
-    main: SetAssocCache,
-    huge1g: Option<SetAssocCache>,
+    main: SetAssocCache<u64>,
+    huge1g: Option<SetAssocCache<u64>>,
     hits: u64,
     misses: u64,
     uncovered: u64,

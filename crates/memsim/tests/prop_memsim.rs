@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use memsim::{CacheGeometry, MemorySubsystem, Platform, SetAssocCache, Translation};
+use memsim::{CacheGeometry, CacheTag, MemorySubsystem, Platform, SetAssocCache, Translation};
 use proptest::prelude::*;
 use vmcore::{PageSize, VirtAddr};
 
@@ -39,26 +39,72 @@ impl RefCacheModel {
     }
 }
 
+/// Replays `tags` through `real` and the reference model, requiring the
+/// same hit or miss on every access.
+fn replay_matches_reference<T>(mut real: SetAssocCache<T>, tags: &[u64]) -> Result<(), String>
+where
+    T: CacheTag + TryFrom<u64>,
+{
+    let mut reference = RefCacheModel::new(real.geometry());
+    for (i, &tag) in tags.iter().enumerate() {
+        let Ok(narrow) = T::try_from(tag) else {
+            return Err(format!("tag {tag} does not fit"));
+        };
+        let a = real.access(narrow);
+        let b = reference.access(tag);
+        prop_assert_eq!(a, b, "divergence at access {} (tag {})", i, tag);
+    }
+    Ok(())
+}
+
+/// Geometries from direct-mapped to fully associative: 1..=12 sets (most
+/// not powers of two) of narrow or of the simulator's wide 8-, 16- and
+/// 20-way sets, and single sets of up to 64 ways, as in the fully
+/// associative TLBs and walk caches.
+fn geometries() -> impl Strategy<Value = CacheGeometry> {
+    let ways = prop_oneof![1u32..=5, Just(8), Just(16), Just(20)];
+    prop_oneof![
+        (1u32..=12, ways).prop_map(|(sets, ways)| CacheGeometry::new(sets * ways, ways)),
+        (1u32..=64).prop_map(CacheGeometry::full),
+    ]
+}
+
+/// A geometry and `len` tags that revisit a working set about twice its
+/// capacity, so both hits and evictions occur. The tags sit near 0 (where
+/// the zeroed invalid ways hold tag 0) or at an arbitrary 32-bit base.
+fn geometry_and_tags(
+    len: std::ops::Range<usize>,
+) -> impl Strategy<Value = (CacheGeometry, Vec<u64>)> {
+    let base = prop_oneof![Just(0u64), 0u64..u64::from(u32::MAX) - 1024];
+    let raw = prop::collection::vec(0u64..1 << 20, len);
+    (geometries(), base, raw).prop_map(|(geometry, base, raw)| {
+        let span = 2 * u64::from(geometry.entries) + 8;
+        (geometry, raw.into_iter().map(|r| base + r % span).collect())
+    })
+}
+
 proptest! {
     /// The production cache agrees with the reference LRU model on every
-    /// access of arbitrary tag sequences, across geometries.
+    /// access of arbitrary tag sequences, across geometries and both tag
+    /// widths.
     #[test]
-    fn cache_matches_reference_lru(
-        entries_log in 2u32..7,
-        ways_sel in 0usize..3,
-        tags in prop::collection::vec(0u64..200, 1..300),
+    fn cache_matches_reference_lru(input in geometry_and_tags(1..400)) {
+        let (geometry, tags) = input;
+        replay_matches_reference(SetAssocCache::<u64>::new(geometry), &tags)?;
+        replay_matches_reference(SetAssocCache::<u32>::new(geometry), &tags)?;
+    }
+
+    /// Replay through the 32-bit stamp clock's overflow still matches the
+    /// reference model: the rebase keeps every set's LRU order.
+    #[test]
+    fn cache_matches_reference_lru_across_the_clock_wrap(
+        input in geometry_and_tags(300..500),
+        before_wrap in 0u32..300,
     ) {
-        let entries = 1u32 << entries_log;
-        let ways = [1u32, 2, entries][ways_sel].min(entries);
-        let geometry = CacheGeometry::new(entries - entries % ways, ways);
-        if geometry.entries == 0 { return Ok(()); }
-        let mut real = SetAssocCache::new(geometry);
-        let mut reference = RefCacheModel::new(geometry);
-        for (i, &tag) in tags.iter().enumerate() {
-            let a = real.access(tag);
-            let b = reference.access(tag);
-            prop_assert_eq!(a, b, "divergence at access {} (tag {})", i, tag);
-        }
+        let (geometry, tags) = input;
+        let start = u32::MAX - before_wrap;
+        replay_matches_reference(SetAssocCache::<u64>::with_clock(geometry, start), &tags)?;
+        replay_matches_reference(SetAssocCache::<u32>::with_clock(geometry, start), &tags)?;
     }
 
     /// Translation outcomes are deterministic and warm correctly: after
