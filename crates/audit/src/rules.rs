@@ -86,14 +86,17 @@ const SIM_CRATES: [&str; 6] = [
 
 /// Modules that write or memoize on-disk or in-memory state whose
 /// iteration/eviction order must be deterministic (store/cache files,
-/// the prediction cache). The battery fan-out (`parallel.rs`) belongs
-/// here: its reduction order decides the byte order of the grid cache
-/// TSV, so a nondeterministic collection or clock read inside it would
-/// smear thread scheduling into persisted files.
-const PERSIST_MODULES: [&str; 6] = [
+/// the prediction cache). The fan-out (`parallel.rs`) belongs here: its
+/// reduction order decides the byte order of the grid cache TSV, so a
+/// nondeterministic collection or clock read inside it would smear
+/// thread scheduling into persisted files. K-fold CV (`cv.rs`) reduces
+/// its fanned-out folds into the CV error the registry memoizes and
+/// `recommend` reports, so it is held to the same rule.
+const PERSIST_MODULES: [&str; 7] = [
     "crates/mosmodel/src/persist.rs",
+    "crates/mosmodel/src/cv.rs",
     "crates/harness/src/experiment.rs",
-    "crates/harness/src/parallel.rs",
+    "crates/vmcore/src/parallel.rs",
     "crates/harness/src/sampled.rs",
     "crates/service/src/registry.rs",
     "crates/service/src/cache.rs",
@@ -109,21 +112,23 @@ const CODEC_MODULES: [&str; 2] = [
 /// reach. A panic here kills a worker thread. The tracer and the
 /// exposition renderer run inside every request, so they are on the
 /// path too (the whole `obs` crate is included via [`on_request_path`]).
-/// The battery fan-out (`parallel.rs`) is included because a cold fit —
+/// The fan-out (`parallel.rs`) is included because a cold fit —
 /// reachable from any predict/warm request — runs it on the worker's
 /// thread: an unwrap inside the pool would turn a measurement hiccup
 /// into a dead worker. The sampling gate (`sampled.rs`) is on the path
 /// for the same reason: a sampled grid evaluates it during any cold
-/// battery build a warm/predict request triggers.
-const REQUEST_PATH: [&str; 8] = [
+/// battery build a warm/predict request triggers. K-fold CV (`cv.rs`)
+/// runs its fold fan-out on the `recommend` worker's thread.
+const REQUEST_PATH: [&str; 9] = [
     "crates/service/src/server.rs",
     "crates/service/src/protocol.rs",
     "crates/service/src/registry.rs",
     "crates/service/src/cache.rs",
     "crates/service/src/trace.rs",
     "crates/service/src/prom.rs",
-    "crates/harness/src/parallel.rs",
+    "crates/vmcore/src/parallel.rs",
     "crates/harness/src/sampled.rs",
+    "crates/mosmodel/src/cv.rs",
 ];
 
 fn file_name(path: &str) -> &str {
@@ -934,21 +939,25 @@ mod tests {
     #[test]
     fn battery_fan_out_is_in_both_determinism_and_panic_surface_scope() {
         // The fan-out's reduction order decides the grid cache's byte
-        // order, so nondeterministic collections are persistence bugs
-        // there...
+        // order and the CV error, so nondeterministic collections are
+        // persistence bugs there...
         let hashy = "use std::collections::HashMap;\n";
-        assert_eq!(
-            rules_hit(&run("crates/harness/src/parallel.rs", hashy)),
-            vec!["determinism"]
-        );
-        // ...and cold fits run it on mosaicd worker threads, so an
-        // unwrap inside the pool kills a worker.
+        // ...and cold fits and `recommend` run it on mosaicd worker
+        // threads, so an unwrap inside the pool kills a worker.
         let panicky = "fn f(v: &[u8]) -> u8 { v[0] }\n";
-        assert_eq!(
-            rules_hit(&run("crates/harness/src/parallel.rs", panicky)),
-            vec!["panic-surface"]
-        );
-        // Neither scope leaks to the rest of the harness crate.
+        for path in ["crates/vmcore/src/parallel.rs", "crates/mosmodel/src/cv.rs"] {
+            assert_eq!(rules_hit(&run(path, hashy)), vec!["determinism"], "{path}");
+            assert_eq!(
+                rules_hit(&run(path, panicky)),
+                vec!["panic-surface"],
+                "{path}"
+            );
+        }
+        // The panic scope does not leak to the rest of vmcore or
+        // mosmodel, and neither scope to the rest of the harness.
+        assert_eq!(run("crates/vmcore/src/layout.rs", panicky), vec![]);
+        assert_eq!(run("crates/mosmodel/src/lasso.rs", hashy), vec![]);
+        assert_eq!(run("crates/mosmodel/src/lasso.rs", panicky), vec![]);
         assert_eq!(run("crates/harness/src/report.rs", hashy), vec![]);
         assert_eq!(run("crates/harness/src/report.rs", panicky), vec![]);
     }

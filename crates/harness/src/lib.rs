@@ -33,7 +33,6 @@ pub mod casestudy;
 pub mod experiment;
 pub mod figures;
 pub mod methodology;
-pub mod parallel;
 pub mod report;
 pub mod sampled;
 mod speed;
@@ -43,9 +42,12 @@ pub use experiment::{
     measure_layout, measure_layout_sampled, measure_layout_traced, Grid, GridEntry, MachineVariant,
     MeasureContext, RunRecord, SIM_STAGES,
 };
-pub use parallel::resolve_jobs;
 pub use sampled::{BatteryMode, GateReport, SampledConfig, DEFAULT_SAMPLED};
 pub use speed::Speed;
+/// The battery's deterministic fan-out. It lives in `vmcore` so the
+/// workspace has one: `mosmodel`'s K-fold folds use it too.
+pub use vmcore::parallel;
+pub use vmcore::parallel::resolve_jobs;
 
 /// The fast preset (shrunken footprints and short traces) for tests.
 pub const SPEED_FAST: Speed = Speed::FAST;

@@ -5,6 +5,8 @@
 //! reported statistic is the **maximal** relative error across all test
 //! folds, matching Table 6's "maximal cross validation errors".
 
+use vmcore::parallel::{parallel_map, resolve_jobs};
+
 use crate::metrics::max_err;
 use crate::models::ModelKind;
 use crate::{Dataset, FitError};
@@ -29,6 +31,11 @@ pub struct CvReport {
 /// interleaves the layout battery's structure across folds, so every
 /// training set spans the full range of walk-cycle values.
 ///
+/// The K fits are independent, so they run on up to
+/// [`resolve_jobs`]`(None)` scoped workers (never more than `k`); their
+/// errors are reduced in fold order, so the report is the same bits for
+/// every worker count.
+///
 /// # Errors
 ///
 /// Returns the underlying [`FitError`] if *every* fold fails to fit.
@@ -37,20 +44,38 @@ pub struct CvReport {
 ///
 /// Panics if `k < 2` or `k > data.len()`.
 pub fn k_fold(model: ModelKind, data: &Dataset, k: usize) -> Result<CvReport, FitError> {
+    k_fold_on(model, data, k, resolve_jobs(None))
+}
+
+/// [`k_fold`] with the folds fanned out over at most `jobs` workers.
+fn k_fold_on(
+    model: ModelKind,
+    data: &Dataset,
+    k: usize,
+    jobs: usize,
+) -> Result<CvReport, FitError> {
     assert!(k >= 2, "cross-validation needs at least 2 folds");
     assert!(k <= data.len(), "more folds than samples");
+    let folds: Vec<usize> = (0..k).collect();
+    // `parallel_map` cannot drop a fold (a panicking fit propagates out
+    // of its scope), so `outcomes` holds all K in fold order.
+    let outcomes = parallel_map(&folds, jobs, |_, &fold| {
+        let train_idx: Vec<usize> = (0..data.len()).filter(|i| i % k != fold).collect();
+        let test_idx: Vec<usize> = (0..data.len()).filter(|i| i % k == fold).collect();
+        let fitted = model.fit(&data.subset(&train_idx))?;
+        Ok(max_err(&fitted, &data.subset(&test_idx)))
+    })
+    .unwrap_or_default();
     let mut worst = 0.0f64;
     let mut evaluated = 0;
     let mut skipped = 0;
     let mut last_err = None;
-    for fold in 0..k {
-        let train_idx: Vec<usize> = (0..data.len()).filter(|i| i % k != fold).collect();
-        let test_idx: Vec<usize> = (0..data.len()).filter(|i| i % k == fold).collect();
-        let train = data.subset(&train_idx);
-        let test = data.subset(&test_idx);
-        match model.fit(&train) {
-            Ok(fitted) => {
-                worst = worst.max(max_err(&fitted, &test));
+    for outcome in outcomes {
+        match outcome {
+            // `max_err` never returns NaN, so `f64::max` keeps every
+            // fold's error.
+            Ok(err) => {
+                worst = worst.max(err);
                 evaluated += 1;
             }
             Err(e) => {
@@ -60,7 +85,11 @@ pub fn k_fold(model: ModelKind, data: &Dataset, k: usize) -> Result<CvReport, Fi
         }
     }
     if evaluated == 0 {
-        return Err(last_err.expect("k >= 2 folds attempted"));
+        // No recorded error means no fold ran at all.
+        return Err(last_err.unwrap_or(FitError::TooFewSamples {
+            needed: k,
+            got: data.len(),
+        }));
     }
     Ok(CvReport {
         max_err: worst,
@@ -155,6 +184,56 @@ mod tests {
             k_fold(ModelKind::Basu, &data, 4),
             Err(FitError::MissingAnchor(_))
         ));
+    }
+
+    #[test]
+    fn report_is_bit_identical_for_one_worker_and_k_workers() {
+        // Curved, noisy data so every model has a nonzero CV error. The
+        // anchors sit in folds 0 and 3, so Yaniv skips two folds.
+        let data: Dataset = (0..24)
+            .map(|i| {
+                let c = 1e6 * (i as f64 + 1.0);
+                let wobble = ((i * 7) % 5) as f64 * 1e4;
+                Sample {
+                    r: 1e9 + 0.5 * c + 3e-8 * c * c + wobble,
+                    h: 1e3 + ((i * 11) % 13) as f64,
+                    m: c / 90.0 + wobble,
+                    c,
+                    kind: match i {
+                        0 => LayoutKind::All4K,
+                        3 => LayoutKind::All2M,
+                        _ => LayoutKind::Mixed,
+                    },
+                }
+            })
+            .collect();
+        let k = 4;
+        for model in [ModelKind::Mosmodel, ModelKind::Poly2, ModelKind::Yaniv] {
+            let serial = k_fold_on(model, &data, k, 1).unwrap();
+            let fanned = k_fold_on(model, &data, k, k).unwrap();
+            assert_eq!(
+                serial.max_err.to_bits(),
+                fanned.max_err.to_bits(),
+                "{model}"
+            );
+            assert_eq!(serial, fanned, "{model}");
+            assert!(serial.max_err > 0.0, "{model}");
+        }
+        let yaniv = k_fold_on(ModelKind::Yaniv, &data, k, k).unwrap();
+        assert_eq!((yaniv.folds_evaluated, yaniv.folds_skipped), (2, 2));
+    }
+
+    #[test]
+    fn nan_prediction_in_a_test_fold_is_infinitely_wrong() {
+        // Yaniv fits on its two anchors only; a mixed sample with a NaN
+        // walk-cycle count makes its prediction NaN. That fold's error
+        // must not vanish from the maximum.
+        let mut data = linear_data(10);
+        let mut samples = data.samples().to_vec();
+        samples[2].c = f64::NAN;
+        data = Dataset::from_samples(samples);
+        let report = k_fold(ModelKind::Yaniv, &data, 5).unwrap();
+        assert_eq!(report.max_err, f64::INFINITY);
     }
 
     #[test]

@@ -3,27 +3,41 @@
 
 use crate::models::RuntimeModel;
 use crate::poly::Var;
-use crate::Dataset;
+use crate::{Dataset, Sample};
 
 /// Relative errors below this are treated as exactly zero in the
 /// geometric mean, which would otherwise collapse to 0 whenever a model
 /// passes exactly through one sample (all anchor-fitted models do).
 const GEO_FLOOR: f64 = 1e-12;
 
+/// Absolute relative error of the model's prediction for one sample.
+///
+/// A non-finite error (a NaN or infinite prediction) counts as
+/// [`f64::INFINITY`]: `f64::max` returns its non-NaN operand, so a raw
+/// NaN would vanish from a maximum and report the model as perfect.
+fn rel_err<Mdl: RuntimeModel + ?Sized>(model: &Mdl, s: &Sample) -> f64 {
+    let err = ((s.r - model.predict(s)) / s.r).abs();
+    if err.is_finite() {
+        err
+    } else {
+        f64::INFINITY
+    }
+}
+
 /// Maximal absolute relative prediction error over a dataset
-/// (paper Equation 1).
+/// (paper Equation 1). Never NaN: a non-finite prediction makes it
+/// infinite.
 ///
 /// Returns `0.0` for an empty dataset.
 pub fn max_err<Mdl: RuntimeModel + ?Sized>(model: &Mdl, data: &Dataset) -> f64 {
-    data.iter()
-        .map(|s| ((s.r - model.predict(s)) / s.r).abs())
-        .fold(0.0, f64::max)
+    data.iter().map(|s| rel_err(model, s)).fold(0.0, f64::max)
 }
 
 /// Geometric mean of the absolute relative errors (paper Equation 2).
 ///
 /// Exact zeros are floored at `1e-12` so a model passing through an
-/// anchor point does not nullify the whole product.
+/// anchor point does not nullify the whole product; a non-finite
+/// prediction makes the mean infinite.
 ///
 /// Returns `0.0` for an empty dataset.
 pub fn geo_mean_err<Mdl: RuntimeModel + ?Sized>(model: &Mdl, data: &Dataset) -> f64 {
@@ -32,7 +46,7 @@ pub fn geo_mean_err<Mdl: RuntimeModel + ?Sized>(model: &Mdl, data: &Dataset) -> 
     }
     let log_sum: f64 = data
         .iter()
-        .map(|s| ((s.r - model.predict(s)) / s.r).abs().max(GEO_FLOOR).ln())
+        .map(|s| rel_err(model, s).max(GEO_FLOOR).ln())
         .sum();
     (log_sum / data.len() as f64).exp()
 }
@@ -100,6 +114,14 @@ mod tests {
         let m = Constant(100.0);
         // Errors: 0% and 50%.
         assert!((max_err(&m, &ds) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn nan_predictions_count_as_infinitely_wrong() {
+        let ds = Dataset::from_samples([sample(100.0, 0.0), sample(200.0, 0.0)]);
+        let nan = Constant(f64::NAN);
+        assert_eq!(max_err(&nan, &ds), f64::INFINITY);
+        assert_eq!(geo_mean_err(&nan, &ds), f64::INFINITY);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! * [`MemoryLayout`] — a "mosaic": which parts of a pool are backed by
 //!   which page size (the central input of the Mosalloc allocator),
 //! * [`PmuCounters`] — the performance-monitoring-unit readout `(R, H, M, C)`
-//!   plus cache load counters that the paper's runtime models consume.
+//!   plus cache load counters that the paper's runtime models consume,
+//! * [`parallel`] — the deterministic, item-ordered fan-out that the grid
+//!   battery and K-fold cross-validation share.
 //!
 //! # Example
 //!
@@ -34,6 +36,7 @@ mod addr;
 mod counters;
 mod error;
 mod layout;
+pub mod parallel;
 mod region;
 
 pub use addr::{PageSize, PhysAddr, VirtAddr};
