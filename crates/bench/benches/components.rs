@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use machine::{Engine, Platform};
-use memsim::{MemorySubsystem, Translation};
+use memsim::{CacheGeometry, CacheTag, MemorySubsystem, SetAssocCache, Translation};
 use mosmodel::dataset::{Dataset, LayoutKind, Sample};
 use mosmodel::lasso::fit_lasso;
 use mosmodel::models::ModelKind;
@@ -58,6 +58,57 @@ fn bench_subsystem(c: &mut Criterion) {
             black_box(vm.data_access(va, PageSize::Base4K))
         });
     });
+    group.finish();
+}
+
+/// Set lookups per `cache_touch` iteration.
+const TOUCH_BATCH: u64 = 4096;
+
+/// Times `SetAssocCache::access` over pseudo-random tags drawn from a
+/// hit-heavy span (at most half the capacity) and a miss-heavy one (at
+/// least sixteen times the capacity). Spans are powers of two so that
+/// drawing a tag costs a mask, not a division. The stream never repeats,
+/// so the miss-heavy one keeps missing however long it runs.
+fn bench_touch<T: CacheTag + TryFrom<u64>>(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    name: &str,
+    geometry: CacheGeometry,
+) {
+    let entries = u64::from(geometry.entries);
+    let hit_span = (entries / 2 + 1).next_power_of_two() / 2;
+    let miss_span = (entries * 16).next_power_of_two();
+    for (stream, span) in [("hits", hit_span), ("misses", miss_span)] {
+        let mut cache = SetAssocCache::<T>::new(geometry);
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        group.bench_function(format!("{name}/{stream}"), |b| {
+            b.iter(|| {
+                (0..TOUCH_BATCH)
+                    .filter(|_| {
+                        x = x
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let tag = T::try_from((x >> 33) & (span - 1)).ok().expect("tag fits");
+                        cache.access(tag)
+                    })
+                    .count()
+            })
+        });
+    }
+}
+
+fn bench_cache_touch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("cache_touch");
+    group.throughput(criterion::Throughput::Elements(TOUCH_BATCH));
+    let l3_lines = u32::try_from(Platform::SANDY_BRIDGE.l3_bytes / 64).expect("L3 lines fit u32");
+    bench_touch::<u64>(&mut group, "tlb_64x4way", CacheGeometry::new(64, 4));
+    bench_touch::<u32>(&mut group, "l1d_512x8way", CacheGeometry::new(512, 8));
+    bench_touch::<u32>(&mut group, "l2_4096x8way", CacheGeometry::new(4096, 8));
+    bench_touch::<u32>(
+        &mut group,
+        "l3_sandybridge_20way",
+        CacheGeometry::new(l3_lines, Platform::SANDY_BRIDGE.l3_ways),
+    );
+    bench_touch::<u64>(&mut group, "pde_32way_full", CacheGeometry::full(32));
     group.finish();
 }
 
@@ -133,6 +184,7 @@ fn bench_walk_path(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_subsystem,
+    bench_cache_touch,
     bench_engine,
     bench_regression,
     bench_tracegen,

@@ -11,6 +11,7 @@
 
 use harness::{measure_layout, Grid, MachineVariant, MeasureContext, Speed};
 use machine::{EngineConfig, Platform};
+use memsim::PwcGeometry;
 use vmcore::{MemoryLayout, PageSize, PmuCounters, Region};
 
 /// Measures the pinned triple: gups/8GB on SandyBridge with the first
@@ -23,21 +24,46 @@ fn measure(speed: Speed) -> (PmuCounters, f64) {
 /// Same pinned triple, but with an explicit engine configuration so
 /// machine variants (e.g. nested paging) can be pinned too.
 fn measure_with_config(speed: Speed, config: EngineConfig) -> (PmuCounters, f64) {
-    let ctx = MeasureContext::new(speed, "gups/8GB").expect("known workload");
-    let pool = ctx.pool();
+    measure_on(speed, Platform::SANDY_BRIDGE.clone(), config, half_2m)
+}
+
+/// The pinned layout: the first half of the pool backed by 2MB pages.
+fn half_2m(pool: Region) -> MemoryLayout {
     let half = Region::new(pool.start(), pool.len() / 2);
-    let layout = MemoryLayout::builder(pool)
+    MemoryLayout::builder(pool)
         .window(half, PageSize::Huge2M)
         .expect("2M-aligned half-pool window")
         .build()
-        .expect("valid layout");
+        .expect("valid layout")
+}
+
+/// Measures gups/8GB on any platform, configuration and layout of its
+/// pool.
+fn measure_on(
+    speed: Speed,
+    platform: Platform,
+    config: EngineConfig,
+    layout: impl FnOnce(Region) -> MemoryLayout,
+) -> (PmuCounters, f64) {
+    let ctx = MeasureContext::new(speed, "gups/8GB").expect("known workload");
+    let layout = layout(ctx.pool());
     let variant = MachineVariant {
         name: "golden-variant".to_string(),
-        platform: Platform::SANDY_BRIDGE.clone(),
+        platform,
         config,
     };
     let record = measure_layout(&ctx, &variant, &layout);
     (record.counters, record.cv_r)
+}
+
+/// Asserts a single-rep FAST measurement against its golden counters.
+fn assert_fast_golden((counters, cv_r): (PmuCounters, f64), golden: PmuCounters, what: &str) {
+    assert_eq!(counters, golden, "{what} counters drifted from golden");
+    assert_eq!(
+        cv_r.to_bits(),
+        0.0f64.to_bits(),
+        "single-rep FAST run must have exactly zero runtime variance"
+    );
 }
 
 #[test]
@@ -101,6 +127,85 @@ fn fast_preset_nested_paging_counters_are_byte_identical_to_golden() {
 }
 
 #[test]
+fn fast_preset_broadwell_all_1g_counters_are_byte_identical_to_golden() {
+    // Every page is 1GB: pins Broadwell's dedicated 1GB STLB array and
+    // the PML4E-only walk-cache path of 1GB walks.
+    let measured = measure_on(
+        Speed::FAST,
+        Platform::BROADWELL,
+        EngineConfig::default(),
+        |pool| MemoryLayout::uniform(pool, PageSize::Huge1G),
+    );
+    let golden = PmuCounters {
+        runtime_cycles: 1_132_911,
+        stlb_hits: 0,
+        stlb_misses: 1,
+        walk_cycles: 380,
+        instructions: 280_163,
+        program_l1d_loads: 80_000,
+        program_l2_loads: 39_990,
+        program_l3_loads: 39_933,
+        walker_l1d_loads: 2,
+        walker_l2_loads: 2,
+        walker_l3_loads: 2,
+    };
+    assert_fast_golden(measured, golden, "Broadwell all-1GB");
+}
+
+#[test]
+fn fast_preset_tlb_prefetch_counters_are_byte_identical_to_golden() {
+    // The next-page prefetcher walks the walk caches for a second page
+    // on every STLB miss.
+    let platform = Platform {
+        tlb_prefetch: true,
+        ..Platform::SANDY_BRIDGE
+    };
+    let measured = measure_on(Speed::FAST, platform, EngineConfig::default(), half_2m);
+    let golden = PmuCounters {
+        runtime_cycles: 2_037_370,
+        stlb_hits: 556,
+        stlb_misses: 19_481,
+        walk_cycles: 169_112,
+        instructions: 280_163,
+        program_l1d_loads: 80_000,
+        program_l2_loads: 39_993,
+        program_l3_loads: 39_949,
+        walker_l1d_loads: 39_013,
+        walker_l2_loads: 20_522,
+        walker_l3_loads: 10_490,
+    };
+    assert_fast_golden(measured, golden, "TLB-prefetch");
+}
+
+#[test]
+fn fast_preset_no_walk_caches_counters_are_byte_identical_to_golden() {
+    // Every walk cache disabled: each walk issues all its references.
+    let platform = Platform {
+        pwc: PwcGeometry {
+            pml4e: 0,
+            pdpte: 0,
+            pde: 0,
+        },
+        ..Platform::SANDY_BRIDGE
+    };
+    let measured = measure_on(Speed::FAST, platform, EngineConfig::default(), half_2m);
+    let golden = PmuCounters {
+        runtime_cycles: 2_512_485,
+        stlb_hits: 530,
+        stlb_misses: 19_507,
+        walk_cycles: 1_093_002,
+        instructions: 280_163,
+        program_l1d_loads: 80_000,
+        program_l2_loads: 39_993,
+        program_l3_loads: 39_949,
+        walker_l1d_loads: 77_996,
+        walker_l2_loads: 18_129,
+        walker_l3_loads: 10_055,
+    };
+    assert_fast_golden(measured, golden, "no-walk-cache");
+}
+
+#[test]
 fn full_preset_counters_are_byte_identical_to_golden() {
     let (counters, cv_r) = measure(Speed::FULL);
     let golden = PmuCounters {
@@ -133,13 +238,7 @@ fn full_preset_counters_are_byte_identical_to_golden() {
 /// bit-for-bit exactly like full ones.
 fn measure_sampled(speed: Speed) -> (PmuCounters, f64) {
     let ctx = MeasureContext::new(speed, "gups/8GB").expect("known workload");
-    let pool = ctx.pool();
-    let half = Region::new(pool.start(), pool.len() / 2);
-    let layout = MemoryLayout::builder(pool)
-        .window(half, PageSize::Huge2M)
-        .expect("2M-aligned half-pool window")
-        .build()
-        .expect("valid layout");
+    let layout = half_2m(ctx.pool());
     let variant = MachineVariant {
         name: "golden-variant".to_string(),
         platform: Platform::SANDY_BRIDGE.clone(),

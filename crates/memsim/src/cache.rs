@@ -30,10 +30,12 @@ impl CacheGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if `ways` is zero or `entries` is not a multiple of `ways`.
-    /// The number of sets need not be a power of two; indexing is modulo
-    /// (Intel L3 slices are likewise not power-of-two sized).
+    /// Panics if `entries` or `ways` is zero, or `entries` is not a
+    /// multiple of `ways`. The number of sets need not be a power of two;
+    /// indexing is modulo (Intel L3 slices are likewise not power-of-two
+    /// sized).
     pub fn new(entries: u32, ways: u32) -> Self {
+        assert!(entries > 0, "zero entries");
         assert!(ways > 0, "zero ways");
         assert!(
             entries.is_multiple_of(ways),
@@ -257,23 +259,29 @@ impl<T: CacheTag> SetAssocCache<T> {
     /// valid ones at least 1, so that is the first invalid way if there
     /// is one, else the LRU way. Returns hit status and the global slot
     /// now holding `tag`.
+    ///
+    /// One pass over the set, with no early exit, finds both the hit way
+    /// and the victim: the loop body is branch-free, where stopping at a
+    /// data-dependent way mispredicts on most lookups. A valid tag lives
+    /// in at most one way, so the hit way is unique, and the strict `<`
+    /// keeps the first way with the minimum stamp as the victim.
     #[inline]
     fn touch(&mut self, tag: T) -> (bool, u32) {
         let stamp = self.tick();
         let start = self.set_start(tag);
         let set = &mut self.lines[start..start + self.ways];
-        let (hit, way) = match set.iter().position(|&way| holds(way, tag)) {
-            Some(way) => (true, way),
-            None => {
-                let mut victim = 0;
-                for way in 1..set.len() {
-                    if set[way].1 < set[victim].1 {
-                        victim = way;
-                    }
-                }
-                (false, victim)
+        let mut found = usize::MAX;
+        let (mut victim, mut min) = (0, u32::MAX);
+        for (i, &way) in set.iter().enumerate() {
+            if holds(way, tag) {
+                found = i;
             }
-        };
+            if way.1 < min {
+                (victim, min) = (i, way.1);
+            }
+        }
+        let hit = found != usize::MAX;
+        let way = if hit { found } else { victim };
         set[way] = (tag, stamp);
         (hit, (start + way) as u32)
     }
@@ -295,6 +303,13 @@ mod tests {
     #[should_panic(expected = "not a multiple")]
     fn geometry_rejects_bad_ways() {
         CacheGeometry::new(64, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero entries")]
+    fn geometry_rejects_zero_entries() {
+        // Zero sets would make the first lookup divide by zero.
+        CacheGeometry::new(0, 4);
     }
 
     #[test]

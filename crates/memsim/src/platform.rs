@@ -425,6 +425,9 @@ impl Platform {
         tlb("l1_tlb_4k", self.l1_tlb_4k)?;
         tlb("l1_tlb_2m", self.l1_tlb_2m)?;
         tlb("l1_tlb_1g", self.l1_tlb_1g)?;
+        if self.stlb.entries == 0 {
+            return Err("stlb.entries: the STLB needs at least one entry".into());
+        }
         if self.stlb.ways == 0 || !self.stlb.entries.is_multiple_of(self.stlb.ways) {
             return Err("stlb: entries not divisible by ways".into());
         }
@@ -601,6 +604,21 @@ mod tests {
             ..Platform::SANDY_BRIDGE
         };
         assert!(bad_stlb.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_entry_stlb() {
+        // `0 % ways == 0`, so divisibility alone let this through, and the
+        // first STLB lookup then divided by zero sets.
+        let empty = Platform {
+            stlb: StlbGeometry {
+                entries: 0,
+                ..Platform::HASWELL.stlb
+            },
+            ..Platform::HASWELL
+        };
+        let err = empty.validate().unwrap_err();
+        assert!(err.starts_with("stlb.entries:"), "{err}");
     }
 
     #[test]

@@ -52,7 +52,10 @@ impl WalkCaches {
     /// Without any cache hit the walker issues
     /// [`PageSize::walk_levels`] references; each cached level shaves the
     /// references above it. The leaf entry itself is never served from a
-    /// walk cache (leaf translations belong to the TLBs).
+    /// walk cache (leaf translations belong to the TLBs). Every lookup
+    /// that misses fills its cache itself, as the most recently used
+    /// entry, so the levels the walk went on to read are cached without a
+    /// second pass.
     pub fn lookup_and_fill(&mut self, va: VirtAddr, size: PageSize) -> u32 {
         let total = size.walk_levels();
         // Longest-prefix match: try the deepest applicable cache first.
@@ -64,16 +67,10 @@ impl WalkCaches {
                 if access(&mut self.pde, Self::tag(va, 21)) {
                     3
                 } else if access(&mut self.pdpte, Self::tag(va, 30)) {
-                    self.pde_fill(va);
                     2
                 } else if access(&mut self.pml4e, Self::tag(va, 39)) {
-                    self.pdpte_fill(va);
-                    self.pde_fill(va);
                     1
                 } else {
-                    self.pml4e_fill(va);
-                    self.pdpte_fill(va);
-                    self.pde_fill(va);
                     0
                 }
             }
@@ -81,22 +78,12 @@ impl WalkCaches {
                 if access(&mut self.pdpte, Self::tag(va, 30)) {
                     2
                 } else if access(&mut self.pml4e, Self::tag(va, 39)) {
-                    self.pdpte_fill(va);
                     1
                 } else {
-                    self.pml4e_fill(va);
-                    self.pdpte_fill(va);
                     0
                 }
             }
-            PageSize::Huge1G => {
-                if access(&mut self.pml4e, Self::tag(va, 39)) {
-                    1
-                } else {
-                    self.pml4e_fill(va);
-                    0
-                }
-            }
+            PageSize::Huge1G => u32::from(access(&mut self.pml4e, Self::tag(va, 39))),
         };
         total - skipped
     }
@@ -109,24 +96,6 @@ impl WalkCaches {
 
     fn tag(va: VirtAddr, shift: u32) -> u64 {
         va.raw() >> shift
-    }
-
-    fn pml4e_fill(&mut self, va: VirtAddr) {
-        if let Some(c) = &mut self.pml4e {
-            c.insert(Self::tag(va, 39));
-        }
-    }
-
-    fn pdpte_fill(&mut self, va: VirtAddr) {
-        if let Some(c) = &mut self.pdpte {
-            c.insert(Self::tag(va, 30));
-        }
-    }
-
-    fn pde_fill(&mut self, va: VirtAddr) {
-        if let Some(c) = &mut self.pde {
-            c.insert(Self::tag(va, 21));
-        }
     }
 }
 

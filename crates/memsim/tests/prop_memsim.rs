@@ -2,16 +2,21 @@
 
 use std::collections::HashMap;
 
-use memsim::{CacheGeometry, CacheTag, MemorySubsystem, Platform, SetAssocCache, Translation};
+use memsim::{
+    CacheGeometry, CacheTag, MemorySubsystem, Platform, PwcGeometry, SetAssocCache, Translation,
+    WalkCaches,
+};
 use proptest::prelude::*;
 use vmcore::{PageSize, VirtAddr};
 
-/// A reference (obviously correct) model of a set-associative LRU cache.
+/// A reference (obviously correct) model of a set-associative LRU cache
+/// that also tracks which physical way each tag occupies.
 struct RefCacheModel {
     sets: u64,
     ways: usize,
-    /// Per set: tags in LRU order (most recent last).
-    state: HashMap<u64, Vec<u64>>,
+    /// Per set: the tag in each way (`None` while the way is invalid) and
+    /// the valid ways in LRU order (most recent last).
+    state: HashMap<u64, (Vec<Option<u64>>, Vec<usize>)>,
 }
 
 impl RefCacheModel {
@@ -23,24 +28,31 @@ impl RefCacheModel {
         }
     }
 
-    fn access(&mut self, tag: u64) -> bool {
-        let set = self.state.entry(tag % self.sets).or_default();
-        if let Some(pos) = set.iter().position(|&t| t == tag) {
-            set.remove(pos);
-            set.push(tag);
-            true
-        } else {
-            if set.len() == self.ways {
-                set.remove(0);
-            }
-            set.push(tag);
-            false
-        }
+    /// Accesses `tag` and returns whether it hit and the global slot
+    /// (`set * ways + way`) it occupies afterwards. A miss fills the first
+    /// invalid way, else the least recently used one.
+    fn access(&mut self, tag: u64) -> (bool, u32) {
+        let set = tag % self.sets;
+        let (slots, lru) = self
+            .state
+            .entry(set)
+            .or_insert_with(|| (vec![None; self.ways], Vec::new()));
+        let (hit, way) = match slots.iter().position(|&t| t == Some(tag)) {
+            Some(way) => (true, way),
+            None => match slots.iter().position(Option::is_none) {
+                Some(way) => (false, way),
+                None => (false, lru[0]),
+            },
+        };
+        lru.retain(|&w| w != way);
+        lru.push(way);
+        slots[way] = Some(tag);
+        (hit, (set as usize * self.ways + way) as u32)
     }
 }
 
 /// Replays `tags` through `real` and the reference model, requiring the
-/// same hit or miss on every access.
+/// same hit or miss and the same slot on every access.
 fn replay_matches_reference<T>(mut real: SetAssocCache<T>, tags: &[u64]) -> Result<(), String>
 where
     T: CacheTag + TryFrom<u64>,
@@ -50,11 +62,114 @@ where
         let Ok(narrow) = T::try_from(tag) else {
             return Err(format!("tag {tag} does not fit"));
         };
-        let a = real.access(narrow);
-        let b = reference.access(tag);
-        prop_assert_eq!(a, b, "divergence at access {} (tag {})", i, tag);
+        let got = real.access_locating(narrow);
+        let want = reference.access(tag);
+        prop_assert_eq!(got, want, "divergence at access {} (tag {})", i, tag);
     }
     Ok(())
+}
+
+/// The page-walk caches as they were before each missing lookup filled
+/// its own cache: after the walk, every level that missed was looked up
+/// again and re-filled. Kept to show that dropping the second pass
+/// changes no reference count and no hit.
+struct FillAfterMissWalkCaches {
+    pml4e: Option<SetAssocCache<u64>>,
+    pdpte: Option<SetAssocCache<u64>>,
+    pde: Option<SetAssocCache<u64>>,
+}
+
+impl FillAfterMissWalkCaches {
+    fn new(geometry: PwcGeometry) -> Self {
+        let cache =
+            |entries: u32| (entries > 0).then(|| SetAssocCache::new(CacheGeometry::full(entries)));
+        FillAfterMissWalkCaches {
+            pml4e: cache(geometry.pml4e),
+            pdpte: cache(geometry.pdpte),
+            pde: cache(geometry.pde),
+        }
+    }
+
+    fn lookup_and_fill(&mut self, va: VirtAddr, size: PageSize) -> u32 {
+        fn access(cache: &mut Option<SetAssocCache<u64>>, tag: u64) -> bool {
+            cache.as_mut().is_some_and(|c| c.access(tag))
+        }
+        fn fill(cache: &mut Option<SetAssocCache<u64>>, tag: u64) {
+            if let Some(c) = cache {
+                c.insert(tag);
+            }
+        }
+        let (l4, l3, l2) = (va.raw() >> 39, va.raw() >> 30, va.raw() >> 21);
+        let skipped = match size {
+            PageSize::Base4K => {
+                if access(&mut self.pde, l2) {
+                    3
+                } else if access(&mut self.pdpte, l3) {
+                    fill(&mut self.pde, l2);
+                    2
+                } else if access(&mut self.pml4e, l4) {
+                    fill(&mut self.pdpte, l3);
+                    fill(&mut self.pde, l2);
+                    1
+                } else {
+                    fill(&mut self.pml4e, l4);
+                    fill(&mut self.pdpte, l3);
+                    fill(&mut self.pde, l2);
+                    0
+                }
+            }
+            PageSize::Huge2M => {
+                if access(&mut self.pdpte, l3) {
+                    2
+                } else if access(&mut self.pml4e, l4) {
+                    fill(&mut self.pdpte, l3);
+                    1
+                } else {
+                    fill(&mut self.pml4e, l4);
+                    fill(&mut self.pdpte, l3);
+                    0
+                }
+            }
+            PageSize::Huge1G => {
+                if access(&mut self.pml4e, l4) {
+                    1
+                } else {
+                    fill(&mut self.pml4e, l4);
+                    0
+                }
+            }
+        };
+        size.walk_levels() - skipped
+    }
+
+    fn hits(&self) -> (u64, u64, u64) {
+        let h = |c: &Option<SetAssocCache<u64>>| c.as_ref().map_or(0, SetAssocCache::hits);
+        (h(&self.pml4e), h(&self.pdpte), h(&self.pde))
+    }
+}
+
+/// Walk-cache geometries: the paper machines', a tiny one that thrashes,
+/// one with the middle level disabled and one with every level disabled.
+fn pwc_geometries() -> impl Strategy<Value = PwcGeometry> {
+    let pwc = |pml4e, pdpte, pde| PwcGeometry { pml4e, pdpte, pde };
+    prop_oneof![
+        Just(Platform::SANDY_BRIDGE.pwc),
+        Just(pwc(1, 1, 2)),
+        Just(pwc(4, 0, 32)),
+        Just(pwc(0, 0, 0)),
+    ]
+}
+
+/// Walks of any page size over few enough PML4, PDPT and PD entries that
+/// every walk-cache level both hits and misses.
+fn walk_stream() -> impl Strategy<Value = Vec<(VirtAddr, PageSize)>> {
+    let walk = (0u64..3, 0u64..6, 0u64..12, 0u64..1 << 21, 0usize..3).prop_map(
+        |(l4, l3, l2, offset, size_sel)| {
+            let raw = (l4 << 39) | (l3 << 30) | (l2 << 21) | offset;
+            (VirtAddr::new(raw), PageSize::ALL[size_sel])
+        },
+    );
+    prop::collection::vec(walk, 1..400)
 }
 
 /// Geometries from direct-mapped to fully associative: 1..=12 sets (most
@@ -85,8 +200,9 @@ fn geometry_and_tags(
 
 proptest! {
     /// The production cache agrees with the reference LRU model on every
-    /// access of arbitrary tag sequences, across geometries and both tag
-    /// widths.
+    /// access of arbitrary tag sequences, hit or miss and slot, across
+    /// geometries and both tag widths. The translation memo re-checks
+    /// slots, so the way a tag lands in is part of the behaviour.
     #[test]
     fn cache_matches_reference_lru(input in geometry_and_tags(1..400)) {
         let (geometry, tags) = input;
@@ -95,7 +211,8 @@ proptest! {
     }
 
     /// Replay through the 32-bit stamp clock's overflow still matches the
-    /// reference model: the rebase keeps every set's LRU order.
+    /// reference model, slot for slot: the rebase keeps every set's LRU
+    /// order.
     #[test]
     fn cache_matches_reference_lru_across_the_clock_wrap(
         input in geometry_and_tags(300..500),
@@ -105,6 +222,23 @@ proptest! {
         let start = u32::MAX - before_wrap;
         replay_matches_reference(SetAssocCache::<u64>::with_clock(geometry, start), &tags)?;
         replay_matches_reference(SetAssocCache::<u32>::with_clock(geometry, start), &tags)?;
+    }
+
+    /// Filling each walk cache on its missing lookup issues the same
+    /// references and scores the same hits as re-filling every missed
+    /// level after the walk.
+    #[test]
+    fn walk_caches_match_fill_after_miss(geometry in pwc_geometries(), walks in walk_stream()) {
+        let mut real = WalkCaches::new(geometry);
+        let mut reference = FillAfterMissWalkCaches::new(geometry);
+        for (i, &(va, size)) in walks.iter().enumerate() {
+            prop_assert_eq!(
+                real.lookup_and_fill(va, size),
+                reference.lookup_and_fill(va, size),
+                "references differ at walk {} ({:?} {:?})", i, va, size
+            );
+        }
+        prop_assert_eq!(real.hits(), reference.hits());
     }
 
     /// Translation outcomes are deterministic and warm correctly: after
