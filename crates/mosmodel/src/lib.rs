@@ -27,7 +27,7 @@
 //!   errors (Equations 1–2), the coefficient of determination `R²`
 //!   (Table 8), and K-fold cross-validation (Table 6).
 //!
-//! All linear algebra (Cholesky least squares, coordinate-descent Lasso,
+//! All linear algebra (Cholesky least squares, exact-path (LARS) Lasso,
 //! polynomial feature expansion) is implemented here with no external
 //! numerics dependencies.
 //!
