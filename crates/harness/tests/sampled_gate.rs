@@ -198,24 +198,3 @@ fn sampled_batteries_are_byte_identical_across_runs_and_job_counts() {
         "sampled grid TSV differs between identical runs"
     );
 }
-
-#[test]
-fn legacy_v3_documents_load_as_full_ungated_entries() {
-    // Public-API version of the codec's compatibility guarantee: a grid
-    // entry rendered by the previous (v3) release — no mode line, no
-    // gate line — still loads, as a full ungated battery.
-    let grid = Grid::in_memory(TINY_SPEED);
-    let entry = grid.entry("gups/8GB", &Platform::SANDY_BRIDGE);
-    let v4 = entry.to_tsv();
-    assert!(v4.starts_with("# mosaic-cache v4\n# mode full\n# gate none\n"));
-    let v3 = v4.replacen(
-        "# mosaic-cache v4\n# mode full\n# gate none\n",
-        "# mosaic-cache v3\n",
-        1,
-    );
-    let legacy = GridEntry::from_tsv(&entry.workload, &entry.platform, &v3)
-        .expect("v3 documents must still load");
-    assert_eq!(legacy.mode, BatteryMode::Full);
-    assert_eq!(legacy.gate, None);
-    assert_eq!(legacy.records, entry.records);
-}
