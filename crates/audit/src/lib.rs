@@ -19,7 +19,7 @@
 //!
 //! # How it works
 //!
-//! A lightweight [lexer](lexer) tokenizes each source file (no rustc
+//! A lightweight [lexer] tokenizes each source file (no rustc
 //! dependency, no syn — std only, and it must never panic on arbitrary
 //! input); each file is lexed **exactly once** per audit. A [block
 //! parser](block) builds a brace/paren/bracket tree with `fn`/`impl`/

@@ -13,7 +13,7 @@
 //! | `panic-surface` | mosaicd request path + `obs` + `recommend` | `.unwrap()`, `.expect()`, `panic!`-family, direct slice indexing |
 //! | `bit-exactness` | on-disk codec modules | lossy float format specs; floats without a bit-exact codec |
 //! | `version-header` | on-disk codec modules | writers/parsers without a `# mosaic-... vN` header constant |
-//! | `lock-discipline` | `service` + `obs` | guards live across fit/simulate/blocking I/O, lock-order inversions, re-acquisition |
+//! | `lock-discipline` | `service` + `obs` + the singleflight memo | guards live across fit/simulate/blocking I/O, lock-order inversions, re-acquisition |
 //! | `arith-safety` | `service` + request path + codecs | truncating `as` casts; unchecked `*`/`+` on counter-named values |
 //! | `wire-conformance` | cross-file (see [`crate::conformance`]) | protocol verbs missing a server arm, client method, CLI frontend, or README mention |
 //! | `block-structure` | any scoped file | unbalanced delimiters the semantic rules cannot see past |
@@ -47,10 +47,11 @@ pub const RULE_IDS: [&str; 8] = [
 /// The canonical lock acquisition order for the serving plane, by the
 /// field name the guard is taken from. Holding a later lock while
 /// acquiring an earlier one is an inversion finding. The order encodes
-/// the code as audited: `pairs()` takes the CV memo before the slot
-/// map; the admission `queue`, the cache `inner` mutexes, and the
-/// per-fit latch `state` are leaves acquired with nothing else held.
-pub const LOCK_ORDER: [&str; 5] = ["cv_errors", "entries", "queue", "inner", "state"];
+/// the code as audited: `pairs()` takes the CV memo before the
+/// registry's `entries` shards, each a singleflight memo whose map is
+/// its `slots` lock; the admission `queue` and the cache `inner`
+/// mutexes are leaves acquired with nothing else held.
+pub const LOCK_ORDER: [&str; 5] = ["cv_errors", "entries", "slots", "queue", "inner"];
 
 /// Ceilings on *honored* `audit:allow` waivers per rule across one
 /// workspace audit — the suppression-debt budget. `--deny` fails when a
@@ -159,10 +160,14 @@ fn on_request_path(path: &str) -> bool {
         || path.contains("crates/recommend/src/")
 }
 
-/// Where the serving plane's locks live: every guard in the workspace
-/// is taken somewhere under `service` or `obs`.
+/// Where the serving plane's locks live: everything under `service` and
+/// `obs`, plus `vmcore`'s `parallel.rs`, home of the singleflight memo
+/// that the registry and the grid keep their entries in. The one lock
+/// outside it, the preload allocator's runtime, never meets a request.
 fn in_lock_scope(path: &str) -> bool {
-    path.contains("crates/service/src/") || path.contains("crates/obs/src/")
+    path.contains("crates/service/src/")
+        || path.contains("crates/obs/src/")
+        || path.ends_with("crates/vmcore/src/parallel.rs")
 }
 
 /// Integer math that request handling or a codec depends on: all of
@@ -960,6 +965,19 @@ mod tests {
         assert_eq!(run("crates/mosmodel/src/lasso.rs", panicky), vec![]);
         assert_eq!(run("crates/harness/src/report.rs", hashy), vec![]);
         assert_eq!(run("crates/harness/src/report.rs", panicky), vec![]);
+    }
+
+    #[test]
+    fn singleflight_memo_is_in_lock_scope() {
+        // The registry and the grid keep their entries in the memo, so
+        // a guard held across a run there serializes every request.
+        let locked = "fn f(m: &M) -> u64 {\n    let slots = m.slots.write();\n    \
+                      fit_all(slots.len())\n}\n";
+        assert_eq!(
+            rules_hit(&run("crates/vmcore/src/parallel.rs", locked)),
+            vec!["lock-discipline"]
+        );
+        assert_eq!(run("crates/vmcore/src/layout.rs", locked), vec![]);
     }
 
     #[test]

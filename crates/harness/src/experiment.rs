@@ -1,17 +1,15 @@
 //! The measurement grid: workload × platform × layout → PMU counters.
 
-use std::collections::BTreeMap;
 use std::fs;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as SyncMutex, PoisonError};
+use std::sync::Arc;
 
 use machine::{profile_tlb_misses, Engine, EngineConfig, Platform};
 use mosalloc::{Mosalloc, MosallocConfig, PoolSpec};
 use mosmodel::dataset::{Dataset, LayoutKind, Sample};
 use mosmodel::persist::{encode_component, fmt_f64_shortest, parse_f64_shortest};
-use parking_lot::Mutex;
+use vmcore::parallel::{Flight, Singleflight};
 use vmcore::{MemoryLayout, PageSize, PmuCounters, Region, VirtAddr};
 use workloads::{sampling, Access, TraceParams, WorkloadSpec};
 
@@ -156,72 +154,13 @@ impl MachineVariant {
     }
 }
 
-/// A once-latch other requests for the same pair park on while one
-/// request runs the battery (the PR-4 registry pattern). `state` stays
-/// `None` until the battery completes either way; `complete` publishes
-/// exactly once and wakes every waiter. A failed battery publishes the
-/// panic message so waiters re-raise it instead of hanging.
-#[derive(Debug)]
-struct BatteryLatch {
-    state: SyncMutex<Option<Result<Arc<GridEntry>, String>>>,
-    done: Condvar,
-}
-
-impl BatteryLatch {
-    fn new() -> Self {
-        BatteryLatch {
-            state: SyncMutex::new(None),
-            done: Condvar::new(),
-        }
-    }
-
-    /// Blocks until the battery completes and returns its outcome.
-    /// Poisoning is recovered: the state is a plain `Option` a panicked
-    /// measurer cannot half-write (it publishes via
-    /// [`BatteryLatch::complete`] *after* its panic shield).
-    fn wait(&self) -> Result<Arc<GridEntry>, String> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(result) = state.as_ref() {
-                return result.clone();
-            }
-            state = self
-                .done
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn complete(&self, result: &Result<Arc<GridEntry>, String>) {
-        *self.state.lock().unwrap_or_else(PoisonError::into_inner) = Some(result.clone());
-        self.done.notify_all();
-    }
-}
-
-/// One pair's slot in the grid memo.
-#[derive(Debug)]
-enum Slot {
-    /// A battery (or disk load) is in flight; park on the latch.
-    Pending(Arc<BatteryLatch>),
-    /// The measured entry, served lock-free forever after.
-    Ready(Arc<GridEntry>),
-}
-
-/// How an [`Grid::entry_variant`] call was resolved against the memo.
-enum Claim {
-    Hit(Arc<GridEntry>),
-    Wait(Arc<BatteryLatch>),
-    Measure(Arc<BatteryLatch>),
-}
-
 /// Lazily evaluated, memoized (in memory and on disk) measurement grid.
 ///
 /// Concurrent requests for one cold pair coalesce onto a single
-/// battery via per-pair singleflight latches (the memo lock is held
-/// only to claim or publish a slot, never across a measurement), and
-/// each battery fans its layouts out over [`Grid::jobs`] worker
-/// threads with a fixed reduction order, so the persisted TSV bytes
-/// are identical for every worker count.
+/// battery through a [`Singleflight`] memo (no lock is held across a
+/// measurement), and each battery fans its layouts out over
+/// [`Grid::jobs`] worker threads with a fixed reduction order, so the
+/// persisted TSV bytes are identical for every worker count.
 ///
 /// # Example
 ///
@@ -238,9 +177,9 @@ pub struct Grid {
     speed: Speed,
     /// Battery worker threads per [`compute_entry`] fan-out.
     jobs: usize,
-    // BTreeMap, not HashMap: the memo feeds the on-disk cache, and
-    // nothing on a persistence path may depend on a per-process hasher.
-    memo: Mutex<BTreeMap<(String, String), Slot>>,
+    /// Measured entries per (workload, variant); a failed battery
+    /// carries its panic message.
+    memo: Singleflight<(String, String), Arc<GridEntry>, String>,
     disk_dir: Option<PathBuf>,
     /// Batteries actually simulated (not memo hits or disk loads) —
     /// the singleflight tests pin this to exactly one per cold pair.
@@ -271,7 +210,7 @@ impl Grid {
         Grid {
             speed,
             jobs: parallel::resolve_jobs(None),
-            memo: Mutex::new(BTreeMap::new()),
+            memo: Singleflight::new(std::convert::identity),
             disk_dir: disk,
             computed: AtomicU64::new(0),
             simulated: AtomicU64::new(0),
@@ -288,7 +227,7 @@ impl Grid {
         Grid {
             speed,
             jobs: parallel::resolve_jobs(None),
-            memo: Mutex::new(BTreeMap::new()),
+            memo: Singleflight::new(std::convert::identity),
             disk_dir: None,
             computed: AtomicU64::new(0),
             simulated: AtomicU64::new(0),
@@ -372,81 +311,42 @@ impl Grid {
     /// Panics if the workload name is unknown.
     pub fn entry_variant(&self, workload: &str, variant: &MachineVariant) -> Arc<GridEntry> {
         let key = (workload.to_string(), variant.name.clone());
-        // Claim under a single lock acquisition: the old check-then-compute
-        // sequence dropped the lock between the miss and the insert, so two
-        // threads could both see a miss and both run the battery.
-        let claim = {
-            let mut memo = self.memo.lock();
-            match memo.get(&key) {
-                Some(Slot::Ready(entry)) => Claim::Hit(Arc::clone(entry)),
-                Some(Slot::Pending(latch)) => Claim::Wait(Arc::clone(latch)),
-                None => {
-                    let latch = Arc::new(BatteryLatch::new());
-                    memo.insert(key.clone(), Slot::Pending(Arc::clone(&latch)));
-                    Claim::Measure(latch)
-                }
-            }
-        };
-        match claim {
-            Claim::Hit(entry) => entry,
-            Claim::Wait(latch) => match latch.wait() {
-                Ok(entry) => entry,
-                Err(msg) => panic!(
-                    "battery for ({workload}, {variant}) failed in a concurrent \
-                     request: {msg}",
-                    variant = variant.name
-                ),
-            },
-            Claim::Measure(latch) => self.measure_and_publish(&key, workload, variant, &latch),
+        match self
+            .memo
+            .get_or_run(&key, || Ok(self.load_or_measure(workload, variant)))
+        {
+            Flight::Hit(entry) | Flight::Waited(Ok(entry)) | Flight::Ran(Ok(entry)) => entry,
+            // The battery's own panic, re-raised in the thread that ran it.
+            Flight::Ran(Err(msg)) => std::panic::resume_unwind(Box::new(msg)),
+            Flight::Waited(Err(msg)) => panic!(
+                "battery for ({workload}, {variant}) failed in a concurrent \
+                 request: {msg}",
+                variant = variant.name
+            ),
         }
     }
 
-    /// Runs the disk-or-battery slow path for a pair this thread claimed,
-    /// publishes the outcome to the memo and the latch, and re-raises any
-    /// battery panic after waking the waiters (so they don't hang on a
-    /// latch nobody will ever complete).
-    fn measure_and_publish(
-        &self,
-        key: &(String, String),
-        workload: &str,
-        variant: &MachineVariant,
-        latch: &Arc<BatteryLatch>,
-    ) -> Arc<GridEntry> {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(entry) = self.load_disk(workload, &variant.name) {
-                return Arc::new(entry);
-            }
-            self.computed.fetch_add(1, Ordering::Relaxed);
-            let entry = compute_entry(
-                self.speed,
-                self.jobs,
-                self.sampled,
-                workload,
-                variant,
-                &self.simulated,
-            );
-            if entry.gate.as_ref().is_some_and(|g| !g.accepted) {
-                self.rejections.fetch_add(1, Ordering::Relaxed);
-            }
-            let entry = Arc::new(entry);
-            self.store_disk(&entry);
-            entry
-        }));
-        match outcome {
-            Ok(entry) => {
-                self.memo
-                    .lock()
-                    .insert(key.clone(), Slot::Ready(Arc::clone(&entry)));
-                latch.complete(&Ok(Arc::clone(&entry)));
-                entry
-            }
-            Err(payload) => {
-                // Remove the slot so a later request can retry the pair.
-                self.memo.lock().remove(key);
-                latch.complete(&Err(panic_message(payload.as_ref())));
-                std::panic::resume_unwind(payload)
-            }
+    /// The slow path for a pair this thread claimed: the disk cache, or
+    /// else the battery (persisted before it is returned).
+    fn load_or_measure(&self, workload: &str, variant: &MachineVariant) -> Arc<GridEntry> {
+        if let Some(entry) = self.load_disk(workload, &variant.name) {
+            return Arc::new(entry);
         }
+        self.computed.fetch_add(1, Ordering::Relaxed);
+        let entry = compute_entry(
+            self.speed,
+            self.jobs,
+            self.sampled,
+            workload,
+            variant,
+            &self.simulated,
+        );
+        if entry.gate.as_ref().is_some_and(|g| !g.accepted) {
+            self.rejections.fetch_add(1, Ordering::Relaxed);
+        }
+        let entry = Arc::new(entry);
+        self.store_disk(&entry);
+        entry
     }
 
     /// Convenience: the 54-sample model-fitting dataset for a pair.
@@ -558,18 +458,6 @@ impl Grid {
             );
             let _ = fs::remove_file(&tmp);
         }
-    }
-}
-
-/// Renders a panic payload for latch waiters (mirrors the registry's
-/// helper): panics carry `&str` or `String` messages in practice.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "battery panicked".to_string()
     }
 }
 
@@ -938,16 +826,28 @@ pub fn measure_layout_traced(
     recorder: Option<&mut obs::SpanRecorder>,
 ) -> RunRecord {
     let trace = || ctx.spec.trace(&ctx.params);
-    replay_layout(ctx, variant, layout, trace, ctx.params.accesses, recorder)
+    let runs = replay_layout(ctx, variant, layout, trace, ctx.params.accesses);
+    if let Some(rec) = recorder {
+        let mut base: u64 = 0;
+        for counters in &runs {
+            let end = base.saturating_add(counters.runtime_cycles);
+            rec.record("replay", base, end);
+            rec.record("page_walk", base, base.saturating_add(counters.walk_cycles));
+            rec.record("finalize", end, end);
+            base = end;
+        }
+    }
+    run_record(layout, &runs)
 }
 
 /// [`measure_layout`] over periodic trace windows: replays only
 /// `window` of every `period` accesses (`workloads::sampling::windows`)
 /// and extrapolates each PMU counter to full-trace scale with the
-/// cold-split estimator (see [`cold_split`]). The extrapolation is exact
-/// integer math ([`sampling::extrapolate`]) — no f64 accumulation, so
-/// sampled records are byte-identical across runs and job counts just
-/// like full ones. The repetition loop (placement-salted reruns until
+/// cold-split estimator: the first half of the kept accesses is charged
+/// as-is and only the steady suffix is scaled. The extrapolation is
+/// exact integer math ([`sampling::extrapolate`]) — no f64
+/// accumulation, so sampled records are byte-identical across runs and
+/// job counts just like full ones. The repetition loop (placement-salted reruns until
 /// the runtime CV falls below 5%) is the grid's standard §VI-A
 /// methodology, evaluated on the extrapolated runtimes.
 ///
@@ -971,18 +871,17 @@ pub fn measure_layout_sampled(
             period as usize,
         )
     };
-    replay_layout(ctx, variant, layout, windows, kept, None)
+    run_record(layout, &replay_layout(ctx, variant, layout, windows, kept))
 }
 
 /// The one repetition loop behind every layout measurement: replays the
 /// `kept` accesses `accesses` yields — the whole trace, or the kept
 /// windows of an interval-sampled run — on a fresh, placement-salted
 /// engine per repetition until the runtime CV falls below 5% or the
-/// preset's budget runs out, and records the sim-domain spans of
-/// [`measure_layout_traced`] when asked. `accesses` runs once per
-/// repetition: a battery hands it a slice of its trace buffer, a
-/// single-layout call the trace generator itself, since a buffer read
-/// only once costs more than it saves. The salt depends only on the
+/// preset's budget runs out, and returns each repetition's counters.
+/// `accesses` runs once per repetition: a battery hands it a slice of
+/// its trace buffer, a single-layout call the trace generator itself,
+/// since a buffer read only once costs more than it saves. The salt depends only on the
 /// repetition index, so layouts that give every replayed access the
 /// same page size measure to equal counters.
 fn replay_layout<I>(
@@ -991,8 +890,7 @@ fn replay_layout<I>(
     layout: &MemoryLayout,
     accesses: impl Fn() -> I,
     kept: u64,
-    mut recorder: Option<&mut obs::SpanRecorder>,
-) -> RunRecord
+) -> Vec<PmuCounters>
 where
     I: IntoIterator<Item = Access>,
 {
@@ -1000,7 +898,6 @@ where
         .expect("layout must be a valid pool spec");
     let page_size = |va| mosalloc.page_size_at(va);
     let mut runs: Vec<PmuCounters> = Vec::new();
-    let mut base: u64 = 0;
     for rep in 0..ctx.speed.max_reps.max(1) {
         let config = EngineConfig {
             salt: variant.config.salt ^ (u64::from(rep) << 56),
@@ -1014,23 +911,22 @@ where
             kept,
             ctx.params.accesses,
         );
-        if let Some(rec) = recorder.as_deref_mut() {
-            let end = base.saturating_add(counters.runtime_cycles);
-            rec.record("replay", base, end);
-            rec.record("page_walk", base, base.saturating_add(counters.walk_cycles));
-            rec.record("finalize", end, end);
-            base = end;
-        }
         runs.push(counters);
         if runs.len() >= 2 && runtime_cv(&runs) < 0.05 {
             break;
         }
     }
+    runs
+}
+
+/// A layout's record over its repetitions: the mean counters and the
+/// runtime's coefficient of variation.
+fn run_record(layout: &MemoryLayout, runs: &[PmuCounters]) -> RunRecord {
     RunRecord {
         description: layout.describe(),
         kind: classify(layout),
-        counters: mean_counters(&runs),
-        cv_r: runtime_cv(&runs),
+        counters: mean_counters(runs),
+        cv_r: runtime_cv(runs),
     }
 }
 
@@ -1152,15 +1048,10 @@ fn compute_entry(
     let simulate = |tasks: &[(usize, &[Access])]| -> Vec<RunRecord> {
         parallel::parallel_map(tasks, jobs, |_, &(c, accesses)| {
             simulated.fetch_add(1, Ordering::Relaxed);
+            let layout = &layouts[classes[c]];
             let kept = accesses.len() as u64;
-            replay_layout(
-                &ctx,
-                variant,
-                &layouts[classes[c]],
-                || accesses.iter().copied(),
-                kept,
-                None,
-            )
+            let runs = replay_layout(&ctx, variant, layout, || accesses.iter().copied(), kept);
+            run_record(layout, &runs)
         })
         .unwrap_or_else(|| panic!("battery worker exited without completing its layout"))
     };
@@ -1627,7 +1518,7 @@ mod tests {
         let grid = Grid {
             speed: tiny_speed(),
             jobs: 1,
-            memo: Mutex::new(BTreeMap::new()),
+            memo: Singleflight::new(std::convert::identity),
             disk_dir: Some(dir.clone()),
             computed: AtomicU64::new(0),
             simulated: AtomicU64::new(0),
@@ -1738,7 +1629,7 @@ mod tests {
         let grid = Grid {
             speed: tiny_speed(),
             jobs: 1,
-            memo: Mutex::new(BTreeMap::new()),
+            memo: Singleflight::new(std::convert::identity),
             disk_dir: Some(PathBuf::from("/cache")),
             computed: AtomicU64::new(0),
             simulated: AtomicU64::new(0),
@@ -1822,6 +1713,25 @@ mod tests {
         grid.entry("gups/8GB", &Platform::BROADWELL);
         grid.entry("gups/8GB", &Platform::SANDY_BRIDGE); // memo hit
         assert_eq!(grid.batteries_computed(), 2);
+    }
+
+    #[test]
+    fn failed_battery_panics_every_call_and_spares_healthy_pairs() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let grid = Grid::in_memory(tiny_speed());
+        for attempt in 1..=2 {
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                grid.entry("no-such-workload", &Platform::SANDY_BRIDGE)
+            }))
+            .expect_err("an unknown workload must panic");
+            let msg = payload.downcast_ref::<String>().expect("a message");
+            assert!(msg.contains("unknown workload"), "{msg}");
+            // The failed slot was released, so the second call runs the
+            // battery again instead of parking on a dead latch.
+            assert_eq!(grid.batteries_computed(), attempt);
+        }
+        let entry = grid.entry("gups/8GB", &Platform::SANDY_BRIDGE);
+        assert_eq!(entry.records.len(), 55);
     }
 
     #[test]

@@ -14,10 +14,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of a set-associative cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheGeometry {
     /// Total entries (must be `sets * ways`).
     pub entries: u32,

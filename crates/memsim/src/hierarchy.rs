@@ -1,13 +1,12 @@
 //! The physically indexed L1d/L2/L3/DRAM hierarchy.
 
-use serde::{Deserialize, Serialize};
 use vmcore::PhysAddr;
 
 use crate::platform::line_count;
 use crate::{CacheGeometry, CacheLatencies, Platform, SetAssocCache};
 
 /// Where a memory reference was satisfied.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum HitLevel {
     /// Served by the L1 data cache.
     L1d,
@@ -20,7 +19,7 @@ pub enum HitLevel {
 }
 
 /// Per-level reference counts for one requester class.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LoadCounts {
     /// References that reached the L1d (i.e. all of them).
     pub l1d: u64,

@@ -7,7 +7,6 @@
 //! parallelism) are calibrated so the execution engine exhibits the
 //! latency-hiding behaviour the paper measured.
 
-use serde::{Deserialize, Serialize};
 use vmcore::PageSize;
 
 /// Intel microarchitecture generations modelled (paper Table 4).
@@ -15,7 +14,7 @@ use vmcore::PageSize;
 /// The paper *measures* on SandyBridge, Haswell and Broadwell; IvyBridge
 /// and Skylake appear in its Table 4 TLB survey and are modelled here as
 /// extended platforms for what-if studies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Microarch {
     /// 2011 Sandy Bridge.
     SandyBridge,
@@ -43,7 +42,7 @@ impl std::fmt::Display for Microarch {
 }
 
 /// Geometry of one L1 TLB (entries and associativity).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TlbGeometry {
     /// Number of entries.
     pub entries: u32,
@@ -60,7 +59,7 @@ pub struct TlbGeometry {
 ///
 /// Page sizes the STLB cannot hold go straight from an L1 miss to a page
 /// walk (counting as an `M` event, never an `H`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StlbGeometry {
     /// Entries in the main array.
     pub entries: u32,
@@ -88,7 +87,7 @@ impl StlbGeometry {
 /// Sizes follow the MMU-cache literature the paper cites (Barr et al.,
 /// Bhattacharjee): a small PML4E cache, a small PDPTE cache and a larger
 /// PDE cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PwcGeometry {
     /// PML4E (L4) cache entries.
     pub pml4e: u32,
@@ -99,7 +98,7 @@ pub struct PwcGeometry {
 }
 
 /// Load-to-use latencies of the memory hierarchy, in core cycles.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheLatencies {
     /// L1d hit latency.
     pub l1d: u32,
@@ -112,7 +111,7 @@ pub struct CacheLatencies {
 }
 
 /// A complete platform model: one paper machine.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Platform {
     /// Short name used in reports ("SandyBridge", ...).
     pub name: &'static str,
@@ -166,7 +165,7 @@ pub struct Platform {
     /// across generations).
     pub walk_lookahead: f64,
     /// Hypothetical design knob: a next-page TLB prefetcher (paper
-    /// references [17]/[53] explore such designs). On every demand walk
+    /// references \[17\]/\[53\] explore such designs). On every demand walk
     /// the translation of the next virtual page is walked in the
     /// background and installed in the STLB. `false` on every real
     /// generation; flip it to *explore the design* with the Figure-1

@@ -223,8 +223,8 @@ impl MemorySubsystem {
     /// — on a full miss — the walk caches, page table and memory
     /// hierarchy. Walker references pollute the data caches.
     ///
-    /// Repeated same-page translations short-circuit through the
-    /// [`TranslationMemo`]; the observable simulation state (every
+    /// Repeated same-page translations short-circuit through a
+    /// one-entry translation memo; the observable simulation state (every
     /// counter, every LRU stamp) is identical either way.
     #[inline]
     pub fn translate(&mut self, va: VirtAddr, size: PageSize) -> TranslationOutcome {

@@ -26,7 +26,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
 use vmcore::{LayoutError, MemoryLayout, PageSize, Region, VirtAddr};
 
 /// Environment variable holding a complete [`MosallocConfig`] spec.
@@ -39,7 +38,7 @@ pub const ENV_ANON_POOL: &str = "MOSALLOC_ANON_POOL";
 pub const ENV_FILE_POOL: &str = "MOSALLOC_FILE_POOL";
 
 /// A hugepage window inside a pool, with pool-relative bounds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WindowSpec {
     /// Window start offset within the pool.
     pub start: u64,
@@ -50,7 +49,7 @@ pub struct WindowSpec {
 }
 
 /// Specification of one pool: capacity plus hugepage windows.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PoolSpec {
     /// Pool capacity in bytes.
     pub size: u64,
@@ -181,7 +180,7 @@ impl FromStr for PoolSpec {
 /// assert_eq!(cfg, again);
 /// # Ok::<(), vmcore::LayoutError>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MosallocConfig {
     /// Heap (brk) pool spec.
     pub brk: PoolSpec,

@@ -1,10 +1,9 @@
 //! Experiment datasets: `(R, H, M, C)` samples tagged by layout kind.
 
-use serde::{Deserialize, Serialize};
 use vmcore::PmuCounters;
 
 /// What kind of Mosalloc layout produced a sample.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LayoutKind {
     /// The all-4KB anchor run.
     All4K,
@@ -17,7 +16,7 @@ pub enum LayoutKind {
 }
 
 /// One measured execution: the model inputs and the observed runtime.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Sample {
     /// Runtime cycles (`R`).
     pub r: f64,
@@ -52,7 +51,7 @@ impl Sample {
 /// assert_eq!(ds.anchor_4k().unwrap().m, 10.0);
 /// assert_eq!(ds.len(), 2);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Dataset {
     samples: Vec<Sample>,
 }

@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::lasso::{fit_lasso, MOSMODEL_MAX_TERMS};
 use crate::ols::{fit_ols, LinearFit};
 use crate::poly::PolyFeatures;
@@ -26,7 +24,7 @@ pub trait RuntimeModel {
 }
 
 /// The model taxonomy of the paper's figures, in their plotting order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Pham: `R̂ = 7H + C + β`, `β = R₄ₖ − C₄ₖ − 7H₄ₖ`.
     Pham,
@@ -228,7 +226,7 @@ pub fn scale_simulated_walk_cycles(
 }
 
 /// Closed-form linear model `R̂ = β + α_c·C + α_m·M + α_h·H`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub(crate) struct ClosedForm {
     pub(crate) alpha_c: f64,
     pub(crate) alpha_m: f64,
@@ -242,14 +240,14 @@ impl ClosedForm {
     }
 }
 
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) enum Inner {
     Closed(ClosedForm),
     Linear(LinearFit),
 }
 
 /// A model fitted to one (workload, platform) dataset.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FittedModel {
     kind: ModelKind,
     inner: Inner,

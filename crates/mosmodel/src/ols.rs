@@ -3,14 +3,12 @@
 //! so their cubes overflow double precision's useful range unless
 //! standardized).
 
-use serde::{Deserialize, Serialize};
-
 use crate::linalg::{lstsq, Matrix};
 use crate::poly::PolyFeatures;
 use crate::{Dataset, FitError, Sample};
 
 /// Per-column affine transform fitted on the training features.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Standardizer {
     /// Column means (excluding the intercept column).
     pub mean: Vec<f64>,
@@ -59,7 +57,7 @@ impl Standardizer {
 }
 
 /// A fitted linear-in-features model: `R̂(s) = w · φ(s)`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LinearFit {
     features: PolyFeatures,
     /// Weights on **raw** features, intercept first.

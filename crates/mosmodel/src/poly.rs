@@ -1,11 +1,9 @@
 //! Polynomial feature expansion over the `(H, M, C)` counters.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Sample;
 
 /// A model input variable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Var {
     /// L2-TLB hits.
     H,
@@ -43,7 +41,7 @@ impl Var {
 /// assert_eq!(f.expand(&s), vec![1.0, 3.0, 9.0]);
 /// assert_eq!(f.names(), vec!["1", "C", "C^2"]);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PolyFeatures {
     vars: Vec<Var>,
     degree: u32,

@@ -2,7 +2,7 @@
 //!
 //! For each `(workload, platform)` pair the registry measures the full
 //! layout battery through [`harness::Grid`], fits every
-//! [`ModelKind`](mosmodel::ModelKind) that the data admits, records each
+//! [`ModelKind`] that the data admits, records each
 //! model's error bounds, and memoizes the result. When given a store
 //! directory it also persists the fitted coefficients in the versioned
 //! [`mosmodel::persist`] text format, so a later server process answers
@@ -10,16 +10,13 @@
 //!
 //! # Singleflight fitting
 //!
-//! A battery fit takes seconds to minutes; the global map lock is held
-//! only long enough to *claim* a key, never across the fit itself. Each
-//! key holds a once-latch slot: the first query for a cold pair inserts
-//! a `Pending` latch and fits outside the lock, concurrent queries for
-//! the *same* pair park on that latch and share the one fit, and
-//! queries for *other* pairs (warm or cold) proceed untouched. A fit
-//! that fails — or panics — completes the latch with a
-//! [`ServiceError`] and removes the `Pending` slot, so waiters are
-//! released with a proper error and a later query retries instead of
-//! hanging on a poisoned key.
+//! A battery fit takes seconds to minutes, so the entries live in
+//! [`Singleflight`] memos, which hold no lock across a fit: the first
+//! query for a cold pair fits, concurrent queries for the *same* pair
+//! share that one fit, and queries for *other* pairs (warm or cold)
+//! proceed untouched. A fit that fails — or panics — reaches every
+//! waiting query as a [`ServiceError`] and leaves no slot behind, so a
+//! later query retries instead of hanging on a poisoned key.
 //!
 //! Counters expose the registry's behaviour to the metrics endpoint:
 //! *hits* (served from memory, including waiters coalesced onto another
@@ -29,10 +26,9 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use harness::{Grid, MeasureContext};
 use machine::Platform;
@@ -40,7 +36,7 @@ use mosmodel::cv::k_fold;
 use mosmodel::metrics::{geo_mean_err, max_err};
 use mosmodel::persist::{decode_bundle, encode_bundle, ModelBundle, PersistedModel};
 use mosmodel::ModelKind;
-use parking_lot::RwLock;
+use vmcore::parallel::{Flight, Singleflight};
 
 use crate::cache::{pair_shard, FifoCache, ShardedPredictionCache, CACHE_SHARDS};
 use crate::protocol::RecommendReply;
@@ -103,60 +99,21 @@ pub struct RegistryCounters {
     pub sampled_rejections: u64,
 }
 
-/// A once-latch other queries for the same pair park on while one query
-/// runs the fit. `state` stays `None` until the fit completes (either
-/// way); `complete` publishes exactly once and wakes every waiter.
-#[derive(Debug)]
-struct FitLatch {
-    state: Mutex<Option<Result<Arc<RegistryEntry>, ServiceError>>>,
-    done: Condvar,
-}
+/// Holds the `fitting` gauge up for one fit, and lets it down even
+/// when the fit unwinds.
+struct FitInFlight<'a>(&'a AtomicU64);
 
-impl FitLatch {
-    fn new() -> Self {
-        FitLatch {
-            state: Mutex::new(None),
-            done: Condvar::new(),
-        }
-    }
-
-    /// Blocks until the fit completes and returns its outcome. Poisoning
-    /// is recovered: the state is a plain `Option` a panicked fitter
-    /// cannot half-write (the fitter publishes via [`FitLatch::complete`]
-    /// *after* its panic shield).
-    fn wait(&self) -> Result<Arc<RegistryEntry>, ServiceError> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(result) = state.as_ref() {
-                return result.clone();
-            }
-            state = self
-                .done
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn complete(&self, result: &Result<Arc<RegistryEntry>, ServiceError>) {
-        *self.state.lock().unwrap_or_else(PoisonError::into_inner) = Some(result.clone());
-        self.done.notify_all();
+impl<'a> FitInFlight<'a> {
+    fn enter(gauge: &'a AtomicU64) -> Self {
+        gauge.fetch_add(1, Ordering::SeqCst);
+        FitInFlight(gauge)
     }
 }
 
-/// One key's slot in the entries map.
-#[derive(Debug)]
-enum Slot {
-    /// A fit is in flight; park on the latch.
-    Pending(Arc<FitLatch>),
-    /// The fitted entry, served lock-free forever after.
-    Ready(Arc<RegistryEntry>),
-}
-
-/// How an [`ModelRegistry::entry`] call was resolved against the map.
-enum Claim {
-    Hit(Arc<RegistryEntry>),
-    Wait(Arc<FitLatch>),
-    Fit(Arc<FitLatch>),
+impl Drop for FitInFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// One `(workload, platform)` pair as reported by the `pairs` verb.
@@ -176,10 +133,9 @@ pub struct PairInfo {
     pub cv_err: f64,
 }
 
-/// One shard of the entries map. BTreeMap, not HashMap: the memo is on
-/// the persistence path and its iteration order must not depend on a
-/// per-process hasher seed.
-type EntryShard = RwLock<BTreeMap<(String, String), Slot>>;
+/// One shard of the entries map; a failed fit carries its
+/// [`ServiceError`].
+type EntryShard = Singleflight<(String, String), Arc<RegistryEntry>, ServiceError>;
 
 /// Fits, persists, and memoizes models per `(workload, platform)`.
 ///
@@ -225,7 +181,7 @@ impl ModelRegistry {
             grid,
             store_dir,
             entries: (0..CACHE_SHARDS)
-                .map(|_| RwLock::new(BTreeMap::new()))
+                .map(|_| Singleflight::new(ServiceError::FitFailed))
                 .collect(),
             cache: ShardedPredictionCache::new(cache_capacity),
             rec_cache: FifoCache::new(DEFAULT_RECOMMEND_CACHE),
@@ -271,7 +227,7 @@ impl ModelRegistry {
     /// nonempty shard vector the constructor builds; the static empty
     /// shard is unreachable insurance, not a code path.
     fn entries_shard(&self, key: &(String, String)) -> &EntryShard {
-        static FALLBACK: EntryShard = RwLock::new(BTreeMap::new());
+        static FALLBACK: EntryShard = Singleflight::new(ServiceError::FitFailed);
         self.entries
             .get(pair_shard(&key.0, &key.1, self.entries.len()))
             .unwrap_or(&FALLBACK)
@@ -282,7 +238,7 @@ impl ModelRegistry {
     pub fn entry_shard_lens(&self) -> Vec<usize> {
         self.entries
             .iter()
-            .map(|shard| shard.read().len())
+            .map(|shard| shard.snapshot().len())
             .collect()
     }
 
@@ -300,7 +256,12 @@ impl ModelRegistry {
     /// active-learning branch.
     pub fn cv_error(&self, workload: &str, platform: &'static Platform) -> f64 {
         let key = (workload.to_string(), platform.name.to_string());
-        if let Some(&err) = self.cv_errors.read().get(&key) {
+        if let Some(&err) = self
+            .cv_errors
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
             return err;
         }
         let dataset = self.grid.entry(workload, platform).dataset();
@@ -311,7 +272,10 @@ impl ModelRegistry {
             k_fold(ModelKind::Mosmodel, &dataset, folds)
                 .map_or(f64::INFINITY, |report| report.max_err)
         };
-        self.cv_errors.write().insert(key, err);
+        self.cv_errors
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key, err);
         err
     }
 
@@ -320,18 +284,17 @@ impl ModelRegistry {
     /// listing must never trigger refits); pairs whose `recommend` has
     /// not run yet report `NaN`.
     pub fn pairs(&self) -> Vec<PairInfo> {
-        let cv = self.cv_errors.read();
+        let cv = self
+            .cv_errors
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
         // Merge the shards through a BTreeMap so the listing stays in
         // deterministic key order regardless of shard assignment.
         let mut merged: BTreeMap<(String, String), (bool, usize)> = BTreeMap::new();
         for shard in &self.entries {
-            let slots = shard.read();
-            for ((workload, platform), slot) in slots.iter() {
-                let (ready, models) = match slot {
-                    Slot::Ready(entry) => (true, entry.bundle.models.len()),
-                    Slot::Pending(_) => (false, 0),
-                };
-                merged.insert((workload.clone(), platform.clone()), (ready, models));
+            for (pair, entry) in shard.snapshot() {
+                let status = entry.map_or((false, 0), |e| (true, e.bundle.models.len()));
+                merged.insert(pair, status);
             }
         }
         merged
@@ -369,82 +332,17 @@ impl ModelRegistry {
         platform: &'static Platform,
     ) -> Result<Arc<RegistryEntry>, ServiceError> {
         let key = (workload.to_string(), platform.name.to_string());
-
-        // Fast path: a read lock on the pair's shard resolves warm
-        // pairs and in-flight fits; other shards are untouched.
-        let claim = {
-            let slots = self.entries_shard(&key).read();
-            match slots.get(&key) {
-                Some(Slot::Ready(entry)) => Some(Claim::Hit(Arc::clone(entry))),
-                Some(Slot::Pending(latch)) => Some(Claim::Wait(Arc::clone(latch))),
-                None => None,
-            }
+        let fit = || {
+            let _in_flight = FitInFlight::enter(&self.fitting);
+            self.build_entry(workload, platform)
         };
-        // Cold pair: claim the key under the shard's write lock (still
-        // cheap — the fit itself runs after the lock is dropped).
-        let claim = match claim {
-            Some(claim) => claim,
-            None => {
-                let mut slots = self.entries_shard(&key).write();
-                match slots.get(&key) {
-                    Some(Slot::Ready(entry)) => Claim::Hit(Arc::clone(entry)),
-                    Some(Slot::Pending(latch)) => Claim::Wait(Arc::clone(latch)),
-                    None => {
-                        let latch = Arc::new(FitLatch::new());
-                        slots.insert(key.clone(), Slot::Pending(Arc::clone(&latch)));
-                        Claim::Fit(latch)
-                    }
-                }
-            }
-        };
-
-        match claim {
-            Claim::Hit(entry) => {
+        match self.entries_shard(&key).get_or_run(&key, fit) {
+            Flight::Hit(entry) | Flight::Waited(Ok(entry)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Ok(entry)
             }
-            Claim::Wait(latch) => {
-                let result = latch.wait();
-                if result.is_ok() {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                }
-                result
-            }
-            Claim::Fit(latch) => self.fit_and_publish(&key, workload, platform, &latch),
+            Flight::Waited(result) | Flight::Ran(result) => result,
         }
-    }
-
-    /// Runs the fit outside the map lock, publishes the slot, and
-    /// releases every waiter parked on the latch. A panicking fit is
-    /// caught and surfaced as [`ServiceError::FitFailed`]; the `Pending`
-    /// slot is removed either way on error so the pair can be retried.
-    fn fit_and_publish(
-        &self,
-        key: &(String, String),
-        workload: &str,
-        platform: &'static Platform,
-        latch: &FitLatch,
-    ) -> Result<Arc<RegistryEntry>, ServiceError> {
-        self.fitting.fetch_add(1, Ordering::SeqCst);
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.build_entry(workload, platform)));
-        self.fitting.fetch_sub(1, Ordering::SeqCst);
-        let result = match outcome {
-            Ok(result) => result,
-            Err(payload) => Err(ServiceError::FitFailed(panic_message(payload.as_ref()))),
-        };
-        {
-            let mut slots = self.entries_shard(key).write();
-            match &result {
-                Ok(entry) => {
-                    slots.insert(key.clone(), Slot::Ready(Arc::clone(entry)));
-                }
-                Err(_) => {
-                    slots.remove(key);
-                }
-            }
-        }
-        latch.complete(&result);
-        result
     }
 
     /// The actual fit: resolve the workload, revive from the store or
@@ -560,23 +458,13 @@ fn encode_store_component(raw: &str) -> String {
     mosmodel::persist::encode_component(raw)
 }
 
-/// Inverse of [`encode_store_component`]: decodes `%XX` escapes back to
+/// Inverse of the store's file-name encoding
+/// ([`mosmodel::persist::encode_component`]): decodes `%XX` escapes back to
 /// their bytes, so tooling can recover the pair a store file serves
 /// from its name. Returns `None` for text no encoder output could have
 /// produced (truncated or non-hex escapes, non-UTF-8 decoded bytes).
 pub fn decode_store_component(encoded: &str) -> Option<String> {
     mosmodel::persist::decode_component(encoded)
-}
-
-/// Best-effort text of a panic payload (what `panic!` was given).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A virtual address in a simulated 48-bit address space.
 ///
 /// The newtype prevents accidentally mixing virtual and physical addresses
@@ -19,9 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(va.align_down(PageSize::Base4K), VirtAddr::new(0x2000));
 /// assert_eq!(va.offset_in(PageSize::Base4K), 0x10);
 /// ```
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VirtAddr(u64);
 
 impl VirtAddr {
@@ -127,9 +123,7 @@ impl From<u64> for VirtAddr {
 ///
 /// Produced by the simulated page table; consumed by the cache hierarchy,
 /// whose indexing is physical.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PhysAddr(u64);
 
 impl PhysAddr {
@@ -171,9 +165,7 @@ impl fmt::Display for PhysAddr {
 /// A 4KB translation walks all four page-table levels; a 2MB translation
 /// terminates at the page directory (3 references) and a 1GB translation at
 /// the page-directory-pointer table (2 references).
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum PageSize {
     /// Standard 4KB page.
     #[default]

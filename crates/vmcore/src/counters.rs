@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// One run's worth of simulated hardware performance counters.
 ///
 /// The four headline counters follow the paper's Table 2:
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The cache-load counters reproduce the paper's Table 7 split between
 /// references issued by the *program* and by the *page walker*.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PmuCounters {
     /// `R`: unhalted runtime cycles.
     pub runtime_cycles: u64,

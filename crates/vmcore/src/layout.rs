@@ -5,12 +5,10 @@
 //! not covered by a window is backed by 4KB pages, mirroring how Mosalloc's
 //! users describe pool layouts through environment variables.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{LayoutError, PageSize, Region, VirtAddr};
 
 /// A contiguous range of a pool backed by a single (huge)page size.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct LayoutWindow {
     /// Pool-relative region the window covers. Must be aligned to `size`.
     pub region: Region,
@@ -45,7 +43,7 @@ pub struct LayoutWindow {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MemoryLayout {
     pool: Region,
     windows: Vec<LayoutWindow>,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{PageSize, VirtAddr};
 
 /// A half-open virtual address range `[start, start + len)`.
@@ -22,7 +20,7 @@ use crate::{PageSize, VirtAddr};
 /// assert!(a.contains(VirtAddr::new(0x1fff)));
 /// assert!(!a.contains(VirtAddr::new(0x3000)));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Region {
     start: VirtAddr,
     len: u64,

@@ -1,10 +1,9 @@
 //! The memory-access trace abstraction.
 
-use serde::{Deserialize, Serialize};
 use vmcore::{Region, VirtAddr};
 
 /// One memory reference of a workload.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Access {
     /// Referenced virtual address.
     pub addr: VirtAddr,
@@ -55,7 +54,7 @@ impl Access {
 }
 
 /// Parameters for generating a trace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceParams {
     /// The workload's arena (its heap allocation); every generated address
     /// falls inside it.
