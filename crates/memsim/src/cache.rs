@@ -4,13 +4,11 @@
 //! data caches (tag = physical line number, `u32`), TLBs (tag = virtual
 //! page number, `u64`) and page-walk caches (tag = VA prefix, `u64`).
 //!
-//! The state is compact and set-major. Each way is a `(tag, stamp)`
-//! pair and a set's ways are contiguous, so a lookup touches only its own
-//! set's bytes. The array is allocated zeroed: LRU stamp 0 means
-//! "invalid" and every valid stamp is at least 1. Stamps are 32-bit; when
-//! the clock would overflow, each set's stamps are renumbered `1..=k` in
-//! their existing order. Stamps only order the ways within one set, so no
-//! replacement decision changes.
+//! The state is compact and set-major, and each set is kept in recency
+//! order: way 0 holds the most recently used tag and the last way the
+//! least recently used one. A way stores `tag + 1`, and 0 marks an empty
+//! way, so the array is allocated zeroed and the empty ways of a set that
+//! is not yet full sit at its end.
 
 use std::fmt;
 
@@ -56,22 +54,32 @@ impl CacheGeometry {
 /// A tag width [`SetAssocCache`] can store: `u64` for the translation
 /// structures (STLB tags carry page-size bits at bit 60) and `u32` for
 /// the data-cache hierarchy (physical line numbers, see
-/// [`crate::MemoryHierarchy`]).
-pub trait CacheTag: Copy + Eq + Default + fmt::Debug + Into<u64> {}
+/// [`crate::MemoryHierarchy`]). The top value of each width is not a
+/// storable tag.
+pub trait CacheTag: Copy + Eq + Default + fmt::Debug + Into<u64> {
+    /// The way value that stores `self`: `self + 1`, keeping 0 for an
+    /// empty way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is the top value of its width.
+    fn stored(self) -> Self;
+}
 
-impl CacheTag for u64 {}
+impl CacheTag for u64 {
+    #[inline]
+    fn stored(self) -> Self {
+        self.checked_add(1)
+            .expect("u64::MAX is not a storable cache tag")
+    }
+}
 
-impl CacheTag for u32 {}
-
-/// One way of a set: its tag and LRU stamp (higher = more recent). Stamp
-/// 0 marks an invalid way, whose tag means nothing. A tuple rather than a
-/// struct so that `vec![(0, 0); n]` takes the zeroed-allocation path.
-type Way<T> = (T, u32);
-
-/// Whether `way` holds `tag`; an invalid way holds nothing.
-#[inline]
-fn holds<T: CacheTag>((t, stamp): Way<T>, tag: T) -> bool {
-    t == tag && stamp != 0
+impl CacheTag for u32 {
+    #[inline]
+    fn stored(self) -> Self {
+        self.checked_add(1)
+            .expect("u32::MAX is not a storable cache tag")
+    }
 }
 
 /// A set-associative cache with true-LRU replacement.
@@ -92,10 +100,9 @@ fn holds<T: CacheTag>((t, stamp): Way<T>, tag: T) -> bool {
 pub struct SetAssocCache<T: CacheTag> {
     geometry: CacheGeometry,
     /// `sets × ways` ways, set-major: set `s` owns
-    /// `lines[s * ways..(s + 1) * ways]`.
-    lines: Vec<Way<T>>,
-    /// The last stamp handed out.
-    clock: u32,
+    /// `lines[s * ways..(s + 1) * ways]`, most recently used first. Each
+    /// way holds [`CacheTag::stored`] of its tag, or 0 while empty.
+    lines: Vec<T>,
     hits: u64,
     misses: u64,
     /// Number of sets, precomputed (the division `entries / ways` must
@@ -113,20 +120,10 @@ pub struct SetAssocCache<T: CacheTag> {
 impl<T: CacheTag> SetAssocCache<T> {
     /// Creates an empty cache.
     pub fn new(geometry: CacheGeometry) -> Self {
-        Self::with_clock(geometry, 0)
-    }
-
-    /// Creates an empty cache whose LRU clock starts at `clock`. No
-    /// replacement decision depends on the starting value; a start just
-    /// below `u32::MAX` drives the cache across the clock's overflow
-    /// without four billion accesses. A test hook, not a tuning option.
-    #[doc(hidden)]
-    pub fn with_clock(geometry: CacheGeometry, clock: u32) -> Self {
         let sets = u64::from(geometry.sets());
         SetAssocCache {
             geometry,
-            lines: vec![(T::default(), 0); geometry.entries as usize],
-            clock,
+            lines: vec![T::default(); geometry.entries as usize],
             hits: 0,
             misses: 0,
             sets,
@@ -148,10 +145,9 @@ impl<T: CacheTag> SetAssocCache<T> {
     }
 
     /// Like [`SetAssocCache::access`], but also returns the global slot
-    /// index (`set * ways + way`) where `tag` resides after the call —
-    /// its hit position, or the way it was just inserted into. The slot
-    /// stays valid until another tag evicts it, which callers detect by
-    /// re-checking with [`SetAssocCache::hit_at`].
+    /// index of `tag`'s set's first way, which holds `tag` after the call.
+    /// It keeps holding it until another tag of the set is touched, which
+    /// callers detect by re-checking with [`SetAssocCache::hit_at`].
     #[inline]
     pub fn access_locating(&mut self, tag: T) -> (bool, u32) {
         let (hit, slot) = self.touch(tag);
@@ -165,19 +161,14 @@ impl<T: CacheTag> SetAssocCache<T> {
 
     /// O(1) re-lookup through a slot previously returned by
     /// [`SetAssocCache::access_locating`]. If `slot` still holds `tag`,
-    /// this performs exactly the state transition of a hitting
-    /// [`SetAssocCache::access`] (clock advance, LRU re-stamp, hit
-    /// count) and returns `true`. Otherwise the cache is untouched and
-    /// the caller must fall back to the full lookup.
+    /// `tag` is its set's most recently used way, so a hitting
+    /// [`SetAssocCache::access`] would change nothing but the hit count:
+    /// this counts the hit and returns `true`. Otherwise the cache is
+    /// untouched and the caller must fall back to the full lookup.
     #[inline]
     pub fn hit_at(&mut self, slot: u32, tag: T) -> bool {
-        let slot = slot as usize;
-        let resident = self.lines.get(slot).is_some_and(|&way| holds(way, tag));
-        if resident {
-            let stamp = self.tick();
-            self.lines[slot].1 = stamp;
-            self.hits += 1;
-        }
+        let resident = self.lines.get(slot as usize) == Some(&tag.stored());
+        self.hits += u64::from(resident);
         resident
     }
 
@@ -185,9 +176,7 @@ impl<T: CacheTag> SetAssocCache<T> {
     #[inline]
     pub fn probe(&self, tag: T) -> bool {
         let start = self.set_start(tag);
-        self.lines[start..start + self.ways]
-            .iter()
-            .any(|&way| holds(way, tag))
+        self.lines[start..start + self.ways].contains(&tag.stored())
     }
 
     /// Inserts `tag` unconditionally (used for fills from outer levels).
@@ -198,7 +187,7 @@ impl<T: CacheTag> SetAssocCache<T> {
 
     /// Invalidates every entry but keeps statistics.
     pub fn flush(&mut self) {
-        self.lines.fill((T::default(), 0));
+        self.lines.fill(T::default());
     }
 
     /// Lifetime hit count.
@@ -213,7 +202,10 @@ impl<T: CacheTag> SetAssocCache<T> {
 
     /// Number of currently valid entries.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|&&(_, stamp)| stamp != 0).count()
+        self.lines
+            .iter()
+            .filter(|&&way| way != T::default())
+            .count()
     }
 
     /// Index of the first way of `tag`'s set.
@@ -226,62 +218,28 @@ impl<T: CacheTag> SetAssocCache<T> {
         set as usize * self.ways
     }
 
-    /// Advances the clock and returns the new stamp.
-    #[inline]
-    fn tick(&mut self) -> u32 {
-        if self.clock == u32::MAX {
-            self.rebase();
-        }
-        self.clock += 1;
-        self.clock
-    }
-
-    /// Renumbers each set's valid stamps `1..=k` in their existing order
-    /// and restarts the clock above every renumbered stamp.
-    #[cold]
-    fn rebase(&mut self) {
-        let mut order: Vec<usize> = Vec::with_capacity(self.ways);
-        for set in self.lines.chunks_exact_mut(self.ways) {
-            order.clear();
-            order.extend((0..set.len()).filter(|&way| set[way].1 != 0));
-            order.sort_unstable_by_key(|&way| set[way].1);
-            for (stamp, &way) in (1..).zip(&order) {
-                set[way].1 = stamp;
-            }
-        }
-        self.clock = self.geometry.ways;
-    }
-
-    /// Core lookup: on a miss inserts `tag` over the set's victim, the
-    /// first way with the minimum stamp. Invalid ways have stamp 0 and
-    /// valid ones at least 1, so that is the first invalid way if there
-    /// is one, else the LRU way. Returns hit status and the global slot
-    /// now holding `tag`.
+    /// Core lookup: moves `tag` to the front of its set. A hit at way `i`
+    /// shifts ways `0..i` back by one; a miss shifts the whole set back,
+    /// dropping its last way, which is the LRU tag or an empty way.
+    /// Returns hit status and the global slot of the set's first way.
     ///
-    /// One pass over the set, with no early exit, finds both the hit way
-    /// and the victim: the loop body is branch-free, where stopping at a
-    /// data-dependent way mispredicts on most lookups. A valid tag lives
-    /// in at most one way, so the hit way is unique, and the strict `<`
-    /// keeps the first way with the minimum stamp as the victim.
+    /// The scan stops at the first match. In recency order hits cluster
+    /// at the front and misses always run to the end, so the exit
+    /// branch predicts well.
     #[inline]
     fn touch(&mut self, tag: T) -> (bool, u32) {
-        let stamp = self.tick();
+        let stored = tag.stored();
         let start = self.set_start(tag);
         let set = &mut self.lines[start..start + self.ways];
-        let mut found = usize::MAX;
-        let (mut victim, mut min) = (0, u32::MAX);
-        for (i, &way) in set.iter().enumerate() {
-            if holds(way, tag) {
-                found = i;
+        let mut carry = stored;
+        for way in set.iter_mut() {
+            let held = std::mem::replace(way, carry);
+            if held == stored {
+                return (true, start as u32);
             }
-            if way.1 < min {
-                (victim, min) = (i, way.1);
-            }
+            carry = held;
         }
-        let hit = found != usize::MAX;
-        let way = if hit { found } else { victim };
-        set[way] = (tag, stamp);
-        (hit, (start + way) as u32)
+        (false, start as u32)
     }
 }
 
@@ -327,8 +285,7 @@ mod tests {
 
     #[test]
     fn tag_zero_is_not_resident_in_a_fresh_cache() {
-        // Fresh ways hold tag 0 with stamp 0: the stamp, not the tag,
-        // decides validity.
+        // Fresh ways hold 0, which stores no tag: tag 0 is stored as 1.
         let mut c = SetAssocCache::<u32>::new(CacheGeometry::new(8, 2));
         assert!(!c.probe(0));
         assert!(!c.access(0));
@@ -427,6 +384,21 @@ mod tests {
     }
 
     #[test]
+    fn hit_at_rejects_a_tag_that_is_no_longer_most_recent() {
+        // 1 stays resident but 2 takes the set's first way: only the full
+        // lookup may hit 1, since that hit reorders the set.
+        let mut c = SetAssocCache::<u64>::new(CacheGeometry::full(2));
+        let (_, slot) = c.access_locating(1);
+        c.access(2);
+        assert!(c.probe(1));
+        assert!(!c.hit_at(slot, 1));
+        assert_eq!(c.hits(), 0);
+        assert!(c.access(1));
+        assert!(c.hit_at(slot, 1));
+        assert_eq!(c.hits(), 2);
+    }
+
+    #[test]
     fn hit_at_rejects_a_flushed_slot() {
         let mut c = SetAssocCache::<u32>::new(CacheGeometry::full(2));
         let (_, slot) = c.access_locating(0);
@@ -454,19 +426,24 @@ mod tests {
     }
 
     #[test]
-    fn rebase_keeps_each_sets_lru_order() {
+    fn sets_keep_recency_order() {
         // One 3-way set filled as 1, 2, 3 and re-touched as 1: LRU order
-        // is 2, 3, 1. Cross the clock overflow, then insert two tags; they
-        // must evict 2 then 3.
-        let mut c = SetAssocCache::<u64>::with_clock(CacheGeometry::full(3), u32::MAX - 4);
+        // is 2, 3, 1, so two more tags evict 2 then 3.
+        let mut c = SetAssocCache::<u64>::new(CacheGeometry::full(3));
         for tag in [1, 2, 3, 1] {
             c.access(tag);
         }
-        c.access(4); // the tick that rebases
+        c.access(4);
         assert!(!c.probe(2));
         c.access(5);
         assert!(!c.probe(3));
         assert!(c.probe(1) && c.probe(4) && c.probe(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a storable cache tag")]
+    fn the_top_tag_is_refused() {
+        SetAssocCache::<u32>::new(CacheGeometry::full(2)).access(u32::MAX);
     }
 
     #[test]

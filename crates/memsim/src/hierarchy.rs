@@ -31,7 +31,12 @@ pub struct LoadCounts {
     pub dram: u64,
 }
 
-/// A three-level inclusive cache hierarchy with a flat DRAM behind it.
+/// A three-level cache hierarchy with a flat DRAM behind it. Each level
+/// fills on its own miss: a reference looks up L1d, then L2, then L3,
+/// and stops at the first hit, so every level it missed now holds the
+/// line and the levels past the hit are not touched. No eviction
+/// invalidates the other levels, so the hierarchy is not inclusive: an
+/// inner level can keep a line the L3 has evicted.
 ///
 /// Program data and page-walker references flow through the *same* caches,
 /// so walker traffic evicts program lines — the pollution effect the paper
@@ -86,8 +91,9 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Performs one reference to `addr`, filling all levels on the way
-    /// back (inclusive hierarchy). `is_walker` selects the counter class.
+    /// Performs one reference to `addr`, filling every level it missed
+    /// on the way (an L2 hit leaves the L3 untouched). `is_walker`
+    /// selects the counter class.
     ///
     /// Returns the satisfying level and its load-to-use latency in cycles.
     ///

@@ -18,12 +18,14 @@ const MEMO_EMPTY_KEY: u64 = u64::MAX;
 ///
 /// The memo is **counter-invisible** by construction:
 ///
-/// * A memo hit is honoured only if the memoized L1 TLB slot still holds
-///   the page's translation ([`Tlb::hit_at`]), in which case it replays
-///   exactly the state transition a hitting [`Tlb::access`] would have
-///   performed — clock advance, LRU re-stamp, hit count. TLB replacement
-///   therefore invalidates memo entries implicitly; no explicit
-///   invalidation protocol can be missed.
+/// * The memoized slot is the first way of the page's L1 TLB set, which
+///   holds the set's most recently used translation. A memo hit is
+///   honoured only if that way still holds the page's translation
+///   ([`Tlb::hit_at`]). A hitting [`Tlb::access`] would then leave the
+///   set's order as it is and only count the hit, which is all `hit_at`
+///   does. Any other touch of the set moves the page out of that way, so
+///   memo entries go stale implicitly; no explicit invalidation protocol
+///   can be missed.
 /// * The memoized physical page base caches [`PageTable::translate`],
 ///   which is a pure function of `(vpn, size)` for a fixed salt — the
 ///   salt never changes after construction, so the cached base can never
@@ -225,7 +227,7 @@ impl MemorySubsystem {
     ///
     /// Repeated same-page translations short-circuit through a
     /// one-entry translation memo; the observable simulation state (every
-    /// counter, every LRU stamp) is identical either way.
+    /// counter, every set's LRU order) is identical either way.
     #[inline]
     pub fn translate(&mut self, va: VirtAddr, size: PageSize) -> TranslationOutcome {
         if self.nested.is_none() {

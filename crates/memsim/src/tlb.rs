@@ -51,9 +51,9 @@ impl Tlb {
     }
 
     /// O(1) re-hit through a slot from [`Tlb::access_locating`]: if the
-    /// slot still holds the translation of `vpn`, performs exactly a
-    /// hitting [`Tlb::access`] and returns `true`; otherwise leaves the
-    /// TLB untouched.
+    /// slot, the first way of its set, still holds the translation of
+    /// `vpn`, performs exactly a hitting [`Tlb::access`] and returns
+    /// `true`; otherwise leaves the TLB untouched.
     #[inline]
     pub fn hit_at(&mut self, slot: u32, vpn: u64) -> bool {
         self.cache.hit_at(slot, vpn)

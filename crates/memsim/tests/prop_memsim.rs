@@ -9,63 +9,99 @@ use memsim::{
 use proptest::prelude::*;
 use vmcore::{PageSize, VirtAddr};
 
-/// A reference (obviously correct) model of a set-associative LRU cache
-/// that also tracks which physical way each tag occupies.
+/// A reference (obviously correct) model of a set-associative LRU cache.
 struct RefCacheModel {
     sets: u64,
     ways: usize,
-    /// Per set: the tag in each way (`None` while the way is invalid) and
-    /// the valid ways in LRU order (most recent last).
-    state: HashMap<u64, (Vec<Option<u64>>, Vec<usize>)>,
+    /// Per set: its resident tags, most recently used last.
+    state: HashMap<u64, Vec<u64>>,
 }
 
 impl RefCacheModel {
     fn new(geometry: CacheGeometry) -> Self {
         RefCacheModel {
-            sets: geometry.sets() as u64,
+            sets: u64::from(geometry.sets()),
             ways: geometry.ways as usize,
             state: HashMap::new(),
         }
     }
 
-    /// Accesses `tag` and returns whether it hit and the global slot
-    /// (`set * ways + way`) it occupies afterwards. A miss fills the first
-    /// invalid way, else the least recently used one.
-    fn access(&mut self, tag: u64) -> (bool, u32) {
-        let set = tag % self.sets;
-        let (slots, lru) = self
-            .state
-            .entry(set)
-            .or_insert_with(|| (vec![None; self.ways], Vec::new()));
-        let (hit, way) = match slots.iter().position(|&t| t == Some(tag)) {
-            Some(way) => (true, way),
-            None => match slots.iter().position(Option::is_none) {
-                Some(way) => (false, way),
-                None => (false, lru[0]),
-            },
+    /// Accesses `tag` and returns whether it hit. A miss in a full set
+    /// evicts its least recently used tag.
+    fn access(&mut self, tag: u64) -> bool {
+        let lru = self.state.entry(tag % self.sets).or_default();
+        let hit = match lru.iter().position(|&t| t == tag) {
+            Some(i) => {
+                lru.remove(i);
+                true
+            }
+            None => {
+                if lru.len() == self.ways {
+                    lru.remove(0);
+                }
+                false
+            }
         };
-        lru.retain(|&w| w != way);
-        lru.push(way);
-        slots[way] = Some(tag);
-        (hit, (set as usize * self.ways + way) as u32)
+        lru.push(tag);
+        hit
+    }
+
+    fn resident(&self, tag: u64) -> bool {
+        self.state
+            .get(&(tag % self.sets))
+            .is_some_and(|lru| lru.contains(&tag))
+    }
+
+    fn most_recent(&self, tag: u64) -> bool {
+        self.state
+            .get(&(tag % self.sets))
+            .and_then(|lru| lru.last())
+            == Some(&tag)
+    }
+
+    fn occupancy(&self) -> usize {
+        self.state.values().map(Vec::len).sum()
     }
 }
 
 /// Replays `tags` through `real` and the reference model, requiring the
-/// same hit or miss and the same slot on every access.
+/// same hit or miss on every access, the same residency and occupancy
+/// afterwards, and the translation memo's contract: `access_locating`
+/// returns the first slot of the tag's set, and `hit_at` through that
+/// slot hits exactly when the tag is its set's most recently used.
 fn replay_matches_reference<T>(mut real: SetAssocCache<T>, tags: &[u64]) -> Result<(), String>
 where
     T: CacheTag + TryFrom<u64>,
 {
-    let mut reference = RefCacheModel::new(real.geometry());
+    let narrow = |tag: u64| T::try_from(tag).map_err(|_| format!("tag {tag} does not fit"));
+    let geometry = real.geometry();
+    let first_slot = |tag: u64| (tag % u64::from(geometry.sets())) as u32 * geometry.ways;
+    let mut reference = RefCacheModel::new(geometry);
     for (i, &tag) in tags.iter().enumerate() {
-        let Ok(narrow) = T::try_from(tag) else {
-            return Err(format!("tag {tag} does not fit"));
-        };
-        let got = real.access_locating(narrow);
-        let want = reference.access(tag);
+        let got = real.access_locating(narrow(tag)?);
+        let want = (reference.access(tag), first_slot(tag));
         prop_assert_eq!(got, want, "divergence at access {} (tag {})", i, tag);
     }
+    prop_assert_eq!(real.occupancy(), reference.occupancy());
+    let mut memo_hits = 0;
+    for &tag in tags {
+        prop_assert_eq!(
+            real.probe(narrow(tag)?),
+            reference.resident(tag),
+            "residency of {}",
+            tag
+        );
+        let want = reference.most_recent(tag);
+        prop_assert_eq!(
+            real.hit_at(first_slot(tag), narrow(tag)?),
+            want,
+            "memo hit on {}",
+            tag
+        );
+        memo_hits += u64::from(want);
+    }
+    let hits = tags.len() as u64 - real.misses();
+    prop_assert_eq!(real.hits(), hits + memo_hits);
     Ok(())
 }
 
@@ -172,56 +208,77 @@ fn walk_stream() -> impl Strategy<Value = Vec<(VirtAddr, PageSize)>> {
     prop::collection::vec(walk, 1..400)
 }
 
+/// The shape of every TLB, walk cache and data cache on `platform`.
+fn platform_geometries(platform: &Platform) -> Vec<CacheGeometry> {
+    let lines = |bytes: u64, ways| CacheGeometry::new((bytes / 64) as u32, ways);
+    let mut shapes = vec![
+        CacheGeometry::new(platform.l1_tlb_4k.entries, platform.l1_tlb_4k.ways),
+        CacheGeometry::new(platform.l1_tlb_2m.entries, platform.l1_tlb_2m.ways),
+        CacheGeometry::new(platform.l1_tlb_1g.entries, platform.l1_tlb_1g.ways),
+        CacheGeometry::new(platform.stlb.entries, platform.stlb.ways),
+        lines(platform.l1d_bytes, platform.l1d_ways),
+        lines(platform.l2_bytes, platform.l2_ways),
+        lines(platform.l3_bytes, platform.l3_ways),
+    ];
+    let PwcGeometry { pml4e, pdpte, pde } = platform.pwc;
+    let full = [platform.stlb.entries_1g, pml4e, pdpte, pde];
+    shapes.extend(full.into_iter().filter(|&n| n > 0).map(CacheGeometry::full));
+    shapes
+}
+
 /// Geometries from direct-mapped to fully associative: 1..=12 sets (most
 /// not powers of two) of narrow or of the simulator's wide 8-, 16- and
-/// 20-way sets, and single sets of up to 64 ways, as in the fully
-/// associative TLBs and walk caches.
+/// 20-way sets, single sets of up to 64 ways, and every real shape of the
+/// simulated platforms, such as the SandyBridge L3 (12 288 sets of 20
+/// ways) and the 32-way PDE cache.
 fn geometries() -> impl Strategy<Value = CacheGeometry> {
     let ways = prop_oneof![1u32..=5, Just(8), Just(16), Just(20)];
+    let real: Vec<CacheGeometry> = Platform::ALL_EXTENDED
+        .iter()
+        .flat_map(|p| platform_geometries(p))
+        .collect();
     prop_oneof![
         (1u32..=12, ways).prop_map(|(sets, ways)| CacheGeometry::new(sets * ways, ways)),
         (1u32..=64).prop_map(CacheGeometry::full),
+        (0..real.len()).prop_map(move |i| real[i]),
     ]
 }
 
-/// A geometry and `len` tags that revisit a working set about twice its
-/// capacity, so both hits and evictions occur. The tags sit near 0 (where
-/// the zeroed invalid ways hold tag 0) or at an arbitrary 32-bit base.
+/// A geometry and `len` tags, so that both hits and evictions occur.
+/// Either the tags revisit a working set about twice the cache's capacity,
+/// or they revisit about twice the ways of each of three sets, which
+/// makes large caches evict too. The tags sit near 0 (where the zeroed
+/// empty ways hold 0) or at an arbitrary 32-bit base.
 fn geometry_and_tags(
     len: std::ops::Range<usize>,
 ) -> impl Strategy<Value = (CacheGeometry, Vec<u64>)> {
-    let base = prop_oneof![Just(0u64), 0u64..u64::from(u32::MAX) - 1024];
+    let base = prop_oneof![Just(0u64), 0u64..u64::from(u32::MAX) - (1 << 21)];
     let raw = prop::collection::vec(0u64..1 << 20, len);
-    (geometries(), base, raw).prop_map(|(geometry, base, raw)| {
-        let span = 2 * u64::from(geometry.entries) + 8;
-        (geometry, raw.into_iter().map(|r| base + r % span).collect())
+    (geometries(), base, any::<bool>(), raw).prop_map(|(geometry, base, few_sets, raw)| {
+        let (sets, ways) = (u64::from(geometry.sets()), u64::from(geometry.ways));
+        let tag = |r: u64| {
+            if few_sets {
+                let span = 2 * ways + 2;
+                base + r % 3 + sets * (r / 3 % span)
+            } else {
+                base + r % (2 * u64::from(geometry.entries) + 8)
+            }
+        };
+        (geometry, raw.into_iter().map(tag).collect())
     })
 }
 
 proptest! {
     /// The production cache agrees with the reference LRU model on every
-    /// access of arbitrary tag sequences, hit or miss and slot, across
-    /// geometries and both tag widths. The translation memo re-checks
-    /// slots, so the way a tag lands in is part of the behaviour.
+    /// access of arbitrary tag sequences, across geometries and both tag
+    /// widths: the same hit or miss each time, the same resident tags and
+    /// occupancy afterwards, and a first-slot `hit_at` that hits exactly
+    /// on each set's most recently used tag.
     #[test]
     fn cache_matches_reference_lru(input in geometry_and_tags(1..400)) {
         let (geometry, tags) = input;
         replay_matches_reference(SetAssocCache::<u64>::new(geometry), &tags)?;
         replay_matches_reference(SetAssocCache::<u32>::new(geometry), &tags)?;
-    }
-
-    /// Replay through the 32-bit stamp clock's overflow still matches the
-    /// reference model, slot for slot: the rebase keeps every set's LRU
-    /// order.
-    #[test]
-    fn cache_matches_reference_lru_across_the_clock_wrap(
-        input in geometry_and_tags(300..500),
-        before_wrap in 0u32..300,
-    ) {
-        let (geometry, tags) = input;
-        let start = u32::MAX - before_wrap;
-        replay_matches_reference(SetAssocCache::<u64>::with_clock(geometry, start), &tags)?;
-        replay_matches_reference(SetAssocCache::<u32>::with_clock(geometry, start), &tags)?;
     }
 
     /// Filling each walk cache on its missing lookup issues the same

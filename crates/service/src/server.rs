@@ -177,6 +177,41 @@ struct Shared {
     inject_panic: bool,
 }
 
+impl Shared {
+    /// The state for `config`'s worker shards, each with an empty inbox.
+    ///
+    /// # Errors
+    ///
+    /// Doorbell-pipe creation failure (fd exhaustion).
+    fn new(config: &ServerConfig, registry: ModelRegistry) -> io::Result<Shared> {
+        let worker_shards = config.workers.max(1);
+        let inboxes = (0..worker_shards)
+            .map(|_| {
+                let (doorbell_rx, doorbell_tx) =
+                    libc::doorbell_pair().map_err(io::Error::from_raw_os_error)?;
+                Ok(Inbox {
+                    fresh: Mutex::new(Vec::new()),
+                    doorbell_rx,
+                    doorbell_tx,
+                })
+            })
+            .collect::<io::Result<Vec<_>>>()?;
+        Ok(Shared {
+            registry,
+            metrics: Metrics::new(),
+            inboxes,
+            shutdown: AtomicBool::new(false),
+            queue_bound: config.queue_bound.max(1),
+            workers: worker_shards,
+            open_connections: AtomicU64::new(0),
+            wall_stages: StageSums::new(&WALL_STAGES),
+            sim_stages: StageSums::new(&SIM_STAGES),
+            traces: TraceRing::new(config.trace_capacity),
+            inject_panic: config.inject_panic,
+        })
+    }
+}
+
 /// A running mosaicd instance. Dropping the handle without calling
 /// [`Server::shutdown`] detaches the threads (the process exit reaps
 /// them); call `shutdown` for a graceful drain.
@@ -198,31 +233,8 @@ impl Server {
     pub fn start(config: ServerConfig, registry: ModelRegistry) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let worker_shards = config.workers.max(1);
-        let inboxes = (0..worker_shards)
-            .map(|_| {
-                let (doorbell_rx, doorbell_tx) =
-                    libc::doorbell_pair().map_err(io::Error::from_raw_os_error)?;
-                Ok(Inbox {
-                    fresh: Mutex::new(Vec::new()),
-                    doorbell_rx,
-                    doorbell_tx,
-                })
-            })
-            .collect::<io::Result<Vec<_>>>()?;
-        let shared = Arc::new(Shared {
-            registry,
-            metrics: Metrics::new(),
-            inboxes,
-            shutdown: AtomicBool::new(false),
-            queue_bound: config.queue_bound.max(1),
-            workers: worker_shards,
-            open_connections: AtomicU64::new(0),
-            wall_stages: StageSums::new(&WALL_STAGES),
-            sim_stages: StageSums::new(&SIM_STAGES),
-            traces: TraceRing::new(config.trace_capacity),
-            inject_panic: config.inject_panic,
-        });
+        let shared = Arc::new(Shared::new(&config, registry)?);
+        let worker_shards = shared.workers;
 
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -464,16 +476,18 @@ fn worker_loop(shared: &Shared, shard: usize) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut fds: Vec<pollfd> = Vec::new();
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            drain_on_shutdown(&mut conns, shared);
-            return;
-        }
         // poll(2) ignores negative fds, so the sentinel is safe in the
         // (unreachable) case the shard index misses the inbox table.
         let mut doorbell: libc::c_int = -1;
         if let Some(inbox) = shared.inboxes.get(shard) {
             doorbell = inbox.doorbell_rx;
             conns.extend(lock_inbox(inbox).drain(..).map(Conn::new));
+        }
+        // The inbox is collected first: a connection dealt but not yet
+        // picked up still gets its pipelined requests answered.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            drain_on_shutdown(&mut conns, shared);
+            return;
         }
         fds.clear();
         fds.push(pollfd {
@@ -1228,5 +1242,40 @@ mod tests {
         // ...and capped so recovery after EMFILE clears is prompt.
         assert_eq!(pause(12), Duration::from_millis(100));
         assert_eq!(pause(u32::MAX), Duration::from_millis(100));
+    }
+
+    #[test]
+    fn shutdown_answers_a_connection_still_in_the_inbox() {
+        // A connection dealt to a shard that sees the shutdown flag
+        // before it ever polls: its pipelined request must be answered,
+        // not dropped with the inbox. The client closes its write side,
+        // and the server end stays blocking, so the drain reads the whole
+        // request before EOF with no timing involved.
+        let registry = ModelRegistry::new(harness::Grid::in_memory(harness::Speed::FAST), None);
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let shared = Shared::new(&config, registry).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (dealt, _) = listener.accept().unwrap();
+        client.write_all(b"stats\n").unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        shared.open_connections.fetch_add(1, Ordering::SeqCst);
+        lock_inbox(&shared.inboxes[0]).push(dealt);
+        shared.shutdown.store(true, Ordering::SeqCst);
+
+        worker_loop(&shared, 0);
+        assert_eq!(shared.open_connections.load(Ordering::SeqCst), 0);
+        // Whatever the shard left in the inbox closes here, unanswered.
+        drop(shared);
+
+        let mut reply = String::new();
+        let _ = client.read_to_string(&mut reply);
+        assert!(
+            reply.starts_with("stats "),
+            "queued request was dropped: {reply:?}"
+        );
     }
 }
