@@ -7,6 +7,10 @@
 //! `pNN_us` value is the upper bound of the first bucket whose
 //! cumulative count covers the percentile, i.e. an upper bound on the
 //! true percentile with bucket-width resolution.
+//!
+//! Every scalar of [`StatsSnapshot`] is one row of [`ROWS`]: its `stats`
+//! key, its Prometheus name and help, and its field. The `stats` codec
+//! here and the exposition in [`crate::prom`] both walk that table.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -134,7 +138,7 @@ impl Metrics {
 }
 
 /// One consistent-enough view of the metrics, as sent over the wire.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Total request lines served (including errors).
     pub requests: u64,
@@ -165,6 +169,81 @@ pub struct StatsSnapshot {
     pub buckets: [u64; BUCKET_BOUNDS_US.len()],
 }
 
+/// One scalar of [`StatsSnapshot`] as both wire formats carry it.
+pub struct Row {
+    /// The key of its `key=value` word on the `stats` line.
+    pub key: &'static str,
+    /// The Prometheus series name. A name ending in `_total` is a
+    /// counter, any other a gauge.
+    pub name: &'static str,
+    /// The Prometheus `# HELP` text.
+    pub help: &'static str,
+    /// Exposed after the per-shard cache series instead of in table
+    /// order. The `stats` line keeps table order for every row.
+    pub late: bool,
+    /// Reads the field.
+    pub get: fn(&StatsSnapshot) -> u64,
+    /// Borrows the field for writing.
+    pub get_mut: fn(&mut StatsSnapshot) -> &mut u64,
+}
+
+/// Builds [`ROWS`] from `field => key, name, late, help;` rows.
+macro_rules! rows {
+    ($($($field:ident).+ => $key:literal, $name:literal, $late:literal, $help:literal;)+) => {
+        /// Every scalar of [`StatsSnapshot`], in `stats`-line order. Both
+        /// wire codecs walk this table; a new scalar is one field and one
+        /// row.
+        pub const ROWS: &[Row] = &[$(Row {
+            key: $key,
+            name: $name,
+            help: $help,
+            late: $late,
+            get: |s| s.$($field).+,
+            get_mut: |s| &mut s.$($field).+,
+        }),+];
+    };
+}
+
+rows! {
+    requests => "requests", "mosaicd_requests_total", false,
+        "Request lines served, including errors.";
+    predicts => "predicts", "mosaicd_predicts_total", false,
+        "Requests that were predict commands.";
+    recommends => "recommends", "mosaicd_recommends_total", true,
+        "Requests that were recommend commands.";
+    errors => "errors", "mosaicd_errors_total", false,
+        "Requests answered with err.";
+    too_long => "too_long", "mosaicd_too_long_total", false,
+        "Over-long request lines refused (excluded from the latency histogram).";
+    busy => "busy", "mosaicd_busy_total", false,
+        "Connections rejected with busy (admission queue full).";
+    queue_depth => "queue_depth", "mosaicd_queue_depth", false,
+        "Admission-queue depth at scrape time.";
+    connections => "connections", "mosaicd_connections", false,
+        "Connections currently multiplexed by the readiness loop.";
+    registry.hits => "registry_hits", "mosaicd_registry_hits_total", false,
+        "Registry lookups answered from memory.";
+    registry.misses => "registry_misses", "mosaicd_registry_misses_total", false,
+        "Registry lookups that required a fit or disk load.";
+    registry.disk_loads => "registry_disk_loads", "mosaicd_registry_disk_loads_total", false,
+        "Registry misses satisfied from the on-disk store.";
+    registry.fitting => "registry_fitting", "mosaicd_registry_fitting", false,
+        "Model fits currently in flight (singleflight slots).";
+    registry.sampled_rejections => "registry_sampled_rejections",
+        "mosaicd_registry_sampled_rejections_total", false,
+        "Sampled batteries rejected by the validation gate (fell back to full).";
+    cache.hits => "pred_cache_hits", "mosaicd_prediction_cache_hits_total", false,
+        "Predictions answered from the bounded cache.";
+    cache.misses => "pred_cache_misses", "mosaicd_prediction_cache_misses_total", false,
+        "Predictions that ran the partial simulation.";
+    pred_cache_len => "pred_cache_len", "mosaicd_prediction_cache_len", false,
+        "Entries held by the prediction cache at scrape time.";
+    rec_cache.hits => "rec_cache_hits", "mosaicd_recommend_cache_hits_total", true,
+        "Recommendations answered from the bounded cache.";
+    rec_cache.misses => "rec_cache_misses", "mosaicd_recommend_cache_misses_total", true,
+        "Recommendations that ran candidate exploration and scoring.";
+}
+
 impl StatsSnapshot {
     /// The `q`-th latency percentile (`0 < q ≤ 100`) as the covering
     /// bucket's upper bound in µs; zero when nothing has been recorded
@@ -190,52 +269,27 @@ impl StatsSnapshot {
 
     /// Renders the `stats ...` response line (no newline).
     pub fn render(&self) -> String {
-        let buckets = self
-            .buckets
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "stats requests={} predicts={} recommends={} errors={} too_long={} busy={} \
-             queue_depth={} connections={} \
-             registry_hits={} registry_misses={} registry_disk_loads={} \
-             registry_fitting={} registry_sampled_rejections={} \
-             pred_cache_hits={} pred_cache_misses={} \
-             pred_cache_len={} rec_cache_hits={} rec_cache_misses={} \
-             p50_us={} p90_us={} p99_us={} buckets={}",
-            self.requests,
-            self.predicts,
-            self.recommends,
-            self.errors,
-            self.too_long,
-            self.busy,
-            self.queue_depth,
-            self.connections,
-            self.registry.hits,
-            self.registry.misses,
-            self.registry.disk_loads,
-            self.registry.fitting,
-            self.registry.sampled_rejections,
-            self.cache.hits,
-            self.cache.misses,
-            self.pred_cache_len,
-            self.rec_cache.hits,
-            self.rec_cache.misses,
+        let mut line = String::from("stats");
+        for row in ROWS {
+            line.push_str(&format!(" {}={}", row.key, (row.get)(self)));
+        }
+        let buckets = self.buckets.map(|c| c.to_string()).join(",");
+        line.push_str(&format!(
+            " p50_us={} p90_us={} p99_us={} buckets={buckets}",
             self.percentile_us(50),
             self.percentile_us(90),
             self.percentile_us(99),
-            buckets,
-        )
+        ));
+        line
     }
 
     /// Parses a `stats ...` line back into a snapshot.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed field. Percentile
-    /// fields are accepted but recomputed from the histogram, so
-    /// `parse(render())` is the identity.
+    /// Returns a description of the first malformed, missing or
+    /// trailing field. Percentile fields are accepted but recomputed
+    /// from the histogram, so `parse(render())` is the identity.
     pub fn parse(line: &str) -> Result<StatsSnapshot, String> {
         let mut words = line.split_ascii_whitespace();
         if words.next() != Some("stats") {
@@ -250,70 +304,28 @@ impl StatsSnapshot {
         let num = |s: &str, key: &str| -> Result<u64, String> {
             s.parse::<u64>().map_err(|e| format!("bad {key}: {e}"))
         };
-        let requests = num(take("requests")?, "requests")?;
-        let predicts = num(take("predicts")?, "predicts")?;
-        let recommends = num(take("recommends")?, "recommends")?;
-        let errors = num(take("errors")?, "errors")?;
-        let too_long = num(take("too_long")?, "too_long")?;
-        let busy = num(take("busy")?, "busy")?;
-        let queue_depth = num(take("queue_depth")?, "queue_depth")?;
-        let connections = num(take("connections")?, "connections")?;
-        let hits = num(take("registry_hits")?, "registry_hits")?;
-        let misses = num(take("registry_misses")?, "registry_misses")?;
-        let disk_loads = num(take("registry_disk_loads")?, "registry_disk_loads")?;
-        let fitting = num(take("registry_fitting")?, "registry_fitting")?;
-        let sampled_rejections = num(
-            take("registry_sampled_rejections")?,
-            "registry_sampled_rejections",
-        )?;
-        let cache_hits = num(take("pred_cache_hits")?, "pred_cache_hits")?;
-        let cache_misses = num(take("pred_cache_misses")?, "pred_cache_misses")?;
-        let pred_cache_len = num(take("pred_cache_len")?, "pred_cache_len")?;
-        let rec_cache_hits = num(take("rec_cache_hits")?, "rec_cache_hits")?;
-        let rec_cache_misses = num(take("rec_cache_misses")?, "rec_cache_misses")?;
+        let mut snap = StatsSnapshot::default();
+        for row in ROWS {
+            *(row.get_mut)(&mut snap) = num(take(row.key)?, row.key)?;
+        }
         take("p50_us")?;
         take("p90_us")?;
         take("p99_us")?;
-        let bucket_text = take("buckets")?;
-        let mut buckets = [0u64; BUCKET_BOUNDS_US.len()];
-        let counts: Vec<&str> = bucket_text.split(',').collect();
-        if counts.len() != buckets.len() {
+        let counts: Vec<&str> = take("buckets")?.split(',').collect();
+        if counts.len() != snap.buckets.len() {
             return Err(format!(
                 "expected {} buckets, got {}",
-                buckets.len(),
+                snap.buckets.len(),
                 counts.len()
             ));
         }
-        for (out, text) in buckets.iter_mut().zip(counts) {
+        for (out, text) in snap.buckets.iter_mut().zip(counts) {
             *out = num(text, "buckets")?;
         }
-        Ok(StatsSnapshot {
-            requests,
-            predicts,
-            recommends,
-            errors,
-            too_long,
-            busy,
-            queue_depth,
-            connections,
-            registry: RegistryCounters {
-                hits,
-                misses,
-                disk_loads,
-                fitting,
-                sampled_rejections,
-            },
-            cache: CacheCounters {
-                hits: cache_hits,
-                misses: cache_misses,
-            },
-            rec_cache: CacheCounters {
-                hits: rec_cache_hits,
-                misses: rec_cache_misses,
-            },
-            pred_cache_len,
-            buckets,
-        })
+        match words.next() {
+            Some(extra) => Err(format!("unexpected trailing field {extra:?}")),
+            None => Ok(snap),
+        }
     }
 }
 
@@ -323,21 +335,7 @@ mod tests {
 
     #[test]
     fn percentiles_walk_the_histogram() {
-        let mut snap = StatsSnapshot {
-            requests: 0,
-            predicts: 0,
-            recommends: 0,
-            errors: 0,
-            too_long: 0,
-            busy: 0,
-            queue_depth: 0,
-            connections: 0,
-            registry: RegistryCounters::default(),
-            cache: CacheCounters::default(),
-            rec_cache: CacheCounters::default(),
-            pred_cache_len: 0,
-            buckets: [0; BUCKET_BOUNDS_US.len()],
-        };
+        let mut snap = StatsSnapshot::default();
         assert_eq!(snap.percentile_us(50), 0, "empty histogram reports 0");
 
         // 90 requests ≤50µs, 9 ≤1000µs, 1 unbounded.
@@ -356,21 +354,7 @@ mod tests {
         // computation (total * q wraps), collapsing every percentile
         // into the first bucket. The worst case — every bucket saturated
         // — must still walk to the right bound.
-        let mut snap = StatsSnapshot {
-            requests: 0,
-            predicts: 0,
-            recommends: 0,
-            errors: 0,
-            too_long: 0,
-            busy: 0,
-            queue_depth: 0,
-            connections: 0,
-            registry: RegistryCounters::default(),
-            cache: CacheCounters::default(),
-            rec_cache: CacheCounters::default(),
-            pred_cache_len: 0,
-            buckets: [0; BUCKET_BOUNDS_US.len()],
-        };
+        let mut snap = StatsSnapshot::default();
         // Exactly at the old overflow boundary: total * 100 > u64::MAX.
         snap.buckets[0] = u64::MAX / 100 + 1;
         snap.buckets[4] = u64::MAX / 100 + 1;
@@ -477,6 +461,7 @@ mod tests {
         assert!(line.contains("rec_cache_misses=2"), "{line}");
         assert_eq!(StatsSnapshot::parse(&line), Ok(snap));
         assert!(StatsSnapshot::parse("stats requests=1").is_err());
+        assert!(StatsSnapshot::parse(&format!("{line} junk=1")).is_err());
         assert!(StatsSnapshot::parse("nope").is_err());
     }
 }

@@ -8,9 +8,7 @@
 //! produces (render→parse→render is a fixed point) and never panics on
 //! arbitrary input, which the property suite exercises.
 
-use crate::cache::CacheCounters;
-use crate::metrics::{StatsSnapshot, BUCKET_BOUNDS_US};
-use crate::registry::RegistryCounters;
+use crate::metrics::{Row, StatsSnapshot, BUCKET_BOUNDS_US, ROWS};
 
 /// Aggregate span totals for one stage, one clock domain.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,6 +43,39 @@ pub struct MetricsReport {
     pub traces_dropped: u64,
 }
 
+const SHARD_LEN: &str = "mosaicd_prediction_cache_shard_len";
+const HISTOGRAM: &str = "mosaicd_request_latency_us";
+const STAGE_TICKS: &str = "mosaicd_stage_ticks_total";
+const STAGE_SPANS: &str = "mosaicd_stage_spans_total";
+
+/// A trace-ring scalar: name, help and value.
+type RingScalar = (&'static str, &'static str, fn(&MetricsReport) -> u64);
+
+/// The trace-ring scalars, in exposition order.
+const RING: [RingScalar; 3] = [
+    (
+        "mosaicd_traces_buffered",
+        "Request traces currently held in the ring buffer.",
+        |r| r.traces_buffered,
+    ),
+    (
+        "mosaicd_trace_capacity",
+        "Ring-buffer capacity in traces.",
+        |r| r.trace_capacity,
+    ),
+    (
+        "mosaicd_traces_dropped_total",
+        "Traces evicted from or rejected by the ring buffer.",
+        |r| r.traces_dropped,
+    ),
+];
+
+/// The [`ROWS`] exposed before the per-shard cache series (`late` is
+/// false) or after it (`late` is true), in table order.
+fn rows(late: bool) -> impl Iterator<Item = &'static Row> {
+    ROWS.iter().filter(move |row| row.late == late)
+}
+
 /// Canonical `le` label for a bucket bound (`u64::MAX` is the unbounded
 /// bucket, spelt `+Inf` in Prometheus).
 fn le_label(bound: u64) -> String {
@@ -55,39 +86,21 @@ fn le_label(bound: u64) -> String {
     }
 }
 
-fn push_metric(out: &mut String, name: &str, kind: &str, help: &str) {
-    out.push_str("# HELP ");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(help);
-    out.push_str("\n# TYPE ");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(kind);
-    out.push('\n');
+/// Writes a series' `# HELP` and `# TYPE` lines. Apart from the latency
+/// histogram, a series is a counter when its name ends in `_total` and
+/// a gauge otherwise.
+fn push_help(out: &mut String, name: &str, help: &str) {
+    let kind = match name {
+        HISTOGRAM => "histogram",
+        _ if name.ends_with("_total") => "counter",
+        _ => "gauge",
+    };
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
 }
 
-fn push_sample(out: &mut String, name: &str, value: u64) {
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(&value.to_string());
-    out.push('\n');
-}
-
-fn push_stage_samples(
-    out: &mut String,
-    name: &str,
-    domain: &str,
-    entries: &[StageEntry],
-    ticks: bool,
-) {
-    for e in entries {
-        let value = if ticks { e.total_ticks } else { e.spans };
-        out.push_str(&format!(
-            "{name}{{domain=\"{domain}\",stage=\"{stage}\"}} {value}\n",
-            stage = e.stage
-        ));
-    }
+fn push_scalar(out: &mut String, name: &str, help: &str, value: u64) {
+    push_help(out, name, help);
+    out.push_str(&format!("{name} {value}\n"));
 }
 
 /// Renders the report as Prometheus text exposition (ends with `# EOF`
@@ -95,250 +108,59 @@ fn push_stage_samples(
 pub fn render_metrics(report: &MetricsReport) -> String {
     let s = &report.stats;
     let mut out = String::new();
-    push_metric(
+    for row in rows(false) {
+        push_scalar(&mut out, row.name, row.help, (row.get)(s));
+    }
+    push_help(
         &mut out,
-        "mosaicd_requests_total",
-        "counter",
-        "Request lines served, including errors.",
-    );
-    push_sample(&mut out, "mosaicd_requests_total", s.requests);
-    push_metric(
-        &mut out,
-        "mosaicd_predicts_total",
-        "counter",
-        "Requests that were predict commands.",
-    );
-    push_sample(&mut out, "mosaicd_predicts_total", s.predicts);
-    push_metric(
-        &mut out,
-        "mosaicd_errors_total",
-        "counter",
-        "Requests answered with err.",
-    );
-    push_sample(&mut out, "mosaicd_errors_total", s.errors);
-    push_metric(
-        &mut out,
-        "mosaicd_too_long_total",
-        "counter",
-        "Over-long request lines refused (excluded from the latency histogram).",
-    );
-    push_sample(&mut out, "mosaicd_too_long_total", s.too_long);
-    push_metric(
-        &mut out,
-        "mosaicd_busy_total",
-        "counter",
-        "Connections rejected with busy (admission queue full).",
-    );
-    push_sample(&mut out, "mosaicd_busy_total", s.busy);
-    push_metric(
-        &mut out,
-        "mosaicd_queue_depth",
-        "gauge",
-        "Admission-queue depth at scrape time.",
-    );
-    push_sample(&mut out, "mosaicd_queue_depth", s.queue_depth);
-    push_metric(
-        &mut out,
-        "mosaicd_connections",
-        "gauge",
-        "Connections currently multiplexed by the readiness loop.",
-    );
-    push_sample(&mut out, "mosaicd_connections", s.connections);
-    push_metric(
-        &mut out,
-        "mosaicd_registry_hits_total",
-        "counter",
-        "Registry lookups answered from memory.",
-    );
-    push_sample(&mut out, "mosaicd_registry_hits_total", s.registry.hits);
-    push_metric(
-        &mut out,
-        "mosaicd_registry_misses_total",
-        "counter",
-        "Registry lookups that required a fit or disk load.",
-    );
-    push_sample(&mut out, "mosaicd_registry_misses_total", s.registry.misses);
-    push_metric(
-        &mut out,
-        "mosaicd_registry_disk_loads_total",
-        "counter",
-        "Registry misses satisfied from the on-disk store.",
-    );
-    push_sample(
-        &mut out,
-        "mosaicd_registry_disk_loads_total",
-        s.registry.disk_loads,
-    );
-    push_metric(
-        &mut out,
-        "mosaicd_registry_fitting",
-        "gauge",
-        "Model fits currently in flight (singleflight slots).",
-    );
-    push_sample(&mut out, "mosaicd_registry_fitting", s.registry.fitting);
-    push_metric(
-        &mut out,
-        "mosaicd_registry_sampled_rejections_total",
-        "counter",
-        "Sampled batteries rejected by the validation gate (fell back to full).",
-    );
-    push_sample(
-        &mut out,
-        "mosaicd_registry_sampled_rejections_total",
-        s.registry.sampled_rejections,
-    );
-    push_metric(
-        &mut out,
-        "mosaicd_prediction_cache_hits_total",
-        "counter",
-        "Predictions answered from the bounded cache.",
-    );
-    push_sample(
-        &mut out,
-        "mosaicd_prediction_cache_hits_total",
-        s.cache.hits,
-    );
-    push_metric(
-        &mut out,
-        "mosaicd_prediction_cache_misses_total",
-        "counter",
-        "Predictions that ran the partial simulation.",
-    );
-    push_sample(
-        &mut out,
-        "mosaicd_prediction_cache_misses_total",
-        s.cache.misses,
-    );
-    push_metric(
-        &mut out,
-        "mosaicd_prediction_cache_len",
-        "gauge",
-        "Entries held by the prediction cache at scrape time.",
-    );
-    push_sample(&mut out, "mosaicd_prediction_cache_len", s.pred_cache_len);
-    push_metric(
-        &mut out,
-        "mosaicd_prediction_cache_shard_len",
-        "gauge",
+        SHARD_LEN,
         "Entries per prediction-cache shard at scrape time.",
     );
     for (i, len) in report.pred_cache_shard_lens.iter().enumerate() {
-        out.push_str(&format!(
-            "mosaicd_prediction_cache_shard_len{{shard=\"{i}\"}} {len}\n"
-        ));
+        out.push_str(&format!("{SHARD_LEN}{{shard=\"{i}\"}} {len}\n"));
     }
-    push_metric(
-        &mut out,
-        "mosaicd_recommends_total",
-        "counter",
-        "Requests that were recommend commands.",
-    );
-    push_sample(&mut out, "mosaicd_recommends_total", s.recommends);
-    push_metric(
-        &mut out,
-        "mosaicd_recommend_cache_hits_total",
-        "counter",
-        "Recommendations answered from the bounded cache.",
-    );
-    push_sample(
-        &mut out,
-        "mosaicd_recommend_cache_hits_total",
-        s.rec_cache.hits,
-    );
-    push_metric(
-        &mut out,
-        "mosaicd_recommend_cache_misses_total",
-        "counter",
-        "Recommendations that ran candidate exploration and scoring.",
-    );
-    push_sample(
-        &mut out,
-        "mosaicd_recommend_cache_misses_total",
-        s.rec_cache.misses,
-    );
+    for row in rows(true) {
+        push_scalar(&mut out, row.name, row.help, (row.get)(s));
+    }
 
-    push_metric(
+    push_help(
         &mut out,
-        "mosaicd_request_latency_us",
-        "histogram",
+        HISTOGRAM,
         "Request handling latency in microseconds.",
     );
     let mut cumulative: u64 = 0;
     for (count, bound) in s.buckets.iter().zip(BUCKET_BOUNDS_US) {
         cumulative = cumulative.saturating_add(*count);
         out.push_str(&format!(
-            "mosaicd_request_latency_us_bucket{{le=\"{}\"}} {cumulative}\n",
+            "{HISTOGRAM}_bucket{{le=\"{}\"}} {cumulative}\n",
             le_label(bound)
         ));
     }
-    push_sample(&mut out, "mosaicd_request_latency_us_count", cumulative);
+    out.push_str(&format!("{HISTOGRAM}_count {cumulative}\n"));
 
-    push_metric(
-        &mut out,
-        "mosaicd_stage_ticks_total",
-        "counter",
-        "Total span ticks per stage (us for domain=wall, simulated cycles for domain=sim).",
-    );
-    push_stage_samples(
-        &mut out,
-        "mosaicd_stage_ticks_total",
-        "wall",
-        &report.wall_stages,
-        true,
-    );
-    push_stage_samples(
-        &mut out,
-        "mosaicd_stage_ticks_total",
-        "sim",
-        &report.sim_stages,
-        true,
-    );
-    push_metric(
-        &mut out,
-        "mosaicd_stage_spans_total",
-        "counter",
-        "Number of spans recorded per stage.",
-    );
-    push_stage_samples(
-        &mut out,
-        "mosaicd_stage_spans_total",
-        "wall",
-        &report.wall_stages,
-        false,
-    );
-    push_stage_samples(
-        &mut out,
-        "mosaicd_stage_spans_total",
-        "sim",
-        &report.sim_stages,
-        false,
-    );
+    for (name, help, ticks) in [
+        (
+            STAGE_TICKS,
+            "Total span ticks per stage (us for domain=wall, simulated cycles for domain=sim).",
+            true,
+        ),
+        (STAGE_SPANS, "Number of spans recorded per stage.", false),
+    ] {
+        push_help(&mut out, name, help);
+        for (domain, entries) in [("wall", &report.wall_stages), ("sim", &report.sim_stages)] {
+            for e in entries {
+                let value = if ticks { e.total_ticks } else { e.spans };
+                out.push_str(&format!(
+                    "{name}{{domain=\"{domain}\",stage=\"{}\"}} {value}\n",
+                    e.stage
+                ));
+            }
+        }
+    }
 
-    push_metric(
-        &mut out,
-        "mosaicd_traces_buffered",
-        "gauge",
-        "Request traces currently held in the ring buffer.",
-    );
-    push_sample(&mut out, "mosaicd_traces_buffered", report.traces_buffered);
-    push_metric(
-        &mut out,
-        "mosaicd_trace_capacity",
-        "gauge",
-        "Ring-buffer capacity in traces.",
-    );
-    push_sample(&mut out, "mosaicd_trace_capacity", report.trace_capacity);
-    push_metric(
-        &mut out,
-        "mosaicd_traces_dropped_total",
-        "counter",
-        "Traces evicted from or rejected by the ring buffer.",
-    );
-    push_sample(
-        &mut out,
-        "mosaicd_traces_dropped_total",
-        report.traces_dropped,
-    );
+    for (name, help, value) in RING {
+        push_scalar(&mut out, name, help, value(report));
+    }
     out.push_str("# EOF\n");
     out
 }
@@ -377,9 +199,11 @@ fn split_sample(line: &str) -> Result<Sample<'_>, String> {
     }
 }
 
+type Labels = Vec<(String, String)>;
+
 /// Parses a `key="value"` label list (as rendered here: no escaping, no
 /// spaces around separators).
-fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
+fn parse_labels(body: &str) -> Result<Labels, String> {
     let mut out = Vec::new();
     for item in body.split(',') {
         let (key, rest) = item
@@ -396,19 +220,6 @@ fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
     Ok(out)
 }
 
-fn stage_labels(sample: &Sample<'_>) -> Result<(String, String), String> {
-    let body = sample
-        .labels
-        .ok_or_else(|| format!("{} needs domain/stage labels", sample.name))?;
-    let labels = parse_labels(body)?;
-    match labels.as_slice() {
-        [(dk, domain), (sk, stage)] if dk == "domain" && sk == "stage" => {
-            Ok((domain.clone(), stage.clone()))
-        }
-        _ => Err(format!("{} needs domain=…,stage=… labels", sample.name)),
-    }
-}
-
 type SampleIter<'a> = std::iter::Peekable<std::vec::IntoIter<Sample<'a>>>;
 
 /// Consumes the next sample, requiring an unlabelled metric of the given
@@ -421,6 +232,19 @@ fn next_plain(iter: &mut SampleIter<'_>, name: &str) -> Result<u64, String> {
         return Err(format!("expected sample {name}, got {}", sample.name));
     }
     Ok(sample.value)
+}
+
+/// Consumes the run of labelled samples named `name`, whose length is
+/// data-dependent, as (labels, value) pairs.
+fn next_run(iter: &mut SampleIter<'_>, name: &str) -> Result<Vec<(Labels, u64)>, String> {
+    let mut run = Vec::new();
+    while let Some(sample) = iter.next_if(|s| s.name == name) {
+        let labels = sample
+            .labels
+            .ok_or_else(|| format!("{name} needs labels"))?;
+        run.push((parse_labels(labels)?, sample.value));
+    }
+    Ok(run)
 }
 
 /// Parses Prometheus text produced by [`render_metrics`].
@@ -447,154 +271,93 @@ pub fn parse_metrics(text: &str) -> Result<MetricsReport, String> {
         return Err("missing # EOF terminator".to_string());
     }
     let mut iter = samples.into_iter().peekable();
-    let requests = next_plain(&mut iter, "mosaicd_requests_total")?;
-    let predicts = next_plain(&mut iter, "mosaicd_predicts_total")?;
-    let errors = next_plain(&mut iter, "mosaicd_errors_total")?;
-    let too_long = next_plain(&mut iter, "mosaicd_too_long_total")?;
-    let busy = next_plain(&mut iter, "mosaicd_busy_total")?;
-    let queue_depth = next_plain(&mut iter, "mosaicd_queue_depth")?;
-    let connections = next_plain(&mut iter, "mosaicd_connections")?;
-    let registry = RegistryCounters {
-        hits: next_plain(&mut iter, "mosaicd_registry_hits_total")?,
-        misses: next_plain(&mut iter, "mosaicd_registry_misses_total")?,
-        disk_loads: next_plain(&mut iter, "mosaicd_registry_disk_loads_total")?,
-        fitting: next_plain(&mut iter, "mosaicd_registry_fitting")?,
-        sampled_rejections: next_plain(&mut iter, "mosaicd_registry_sampled_rejections_total")?,
-    };
-    let cache = CacheCounters {
-        hits: next_plain(&mut iter, "mosaicd_prediction_cache_hits_total")?,
-        misses: next_plain(&mut iter, "mosaicd_prediction_cache_misses_total")?,
-    };
-    let pred_cache_len = next_plain(&mut iter, "mosaicd_prediction_cache_len")?;
-    // The per-shard run is labelled, so its length is data-dependent:
-    // consume while the name matches, requiring shard="<index>" labels
-    // in order.
-    let mut pred_cache_shard_lens: Vec<u64> = Vec::new();
-    while iter
-        .peek()
-        .is_some_and(|s| s.name == "mosaicd_prediction_cache_shard_len")
-    {
-        let sample = iter
-            .next()
-            .ok_or_else(|| "peeked sample vanished".to_string())?;
-        let labels = parse_labels(sample.labels.unwrap_or_default())?;
-        let expected = pred_cache_shard_lens.len().to_string();
-        match labels.as_slice() {
-            [(key, idx)] if key == "shard" && *idx == expected => {}
-            _ => {
-                return Err(format!(
-                    "cache shard label mismatch (want shard=\"{expected}\")"
-                ))
-            }
-        }
-        pred_cache_shard_lens.push(sample.value);
+    let mut stats = StatsSnapshot::default();
+    for row in rows(false) {
+        *(row.get_mut)(&mut stats) = next_plain(&mut iter, row.name)?;
     }
-    let recommends = next_plain(&mut iter, "mosaicd_recommends_total")?;
-    let rec_cache = CacheCounters {
-        hits: next_plain(&mut iter, "mosaicd_recommend_cache_hits_total")?,
-        misses: next_plain(&mut iter, "mosaicd_recommend_cache_misses_total")?,
-    };
+    let mut pred_cache_shard_lens = Vec::new();
+    for (i, (labels, len)) in next_run(&mut iter, SHARD_LEN)?.into_iter().enumerate() {
+        if labels != [("shard".to_string(), i.to_string())] {
+            return Err(format!("cache shard label mismatch (want shard=\"{i}\")"));
+        }
+        pred_cache_shard_lens.push(len);
+    }
+    for row in rows(true) {
+        *(row.get_mut)(&mut stats) = next_plain(&mut iter, row.name)?;
+    }
 
-    let mut buckets = [0u64; BUCKET_BOUNDS_US.len()];
+    let bucket_run = next_run(&mut iter, &format!("{HISTOGRAM}_bucket"))?;
+    if bucket_run.len() != BUCKET_BOUNDS_US.len() {
+        return Err(format!(
+            "expected {} histogram buckets, got {}",
+            BUCKET_BOUNDS_US.len(),
+            bucket_run.len()
+        ));
+    }
     let mut previous: u64 = 0;
-    for (out, bound) in buckets.iter_mut().zip(BUCKET_BOUNDS_US) {
-        let sample = iter
-            .next()
-            .ok_or_else(|| "missing histogram bucket".to_string())?;
-        if sample.name != "mosaicd_request_latency_us_bucket" {
-            return Err(format!("expected histogram bucket, got {}", sample.name));
+    for ((out, bound), (labels, cumulative)) in stats
+        .buckets
+        .iter_mut()
+        .zip(BUCKET_BOUNDS_US)
+        .zip(bucket_run)
+    {
+        if labels != [("le".to_string(), le_label(bound))] {
+            return Err(format!(
+                "bucket le label mismatch (want {})",
+                le_label(bound)
+            ));
         }
-        let labels = parse_labels(sample.labels.unwrap_or_default())?;
-        match labels.as_slice() {
-            [(key, le)] if key == "le" && *le == le_label(bound) => {}
-            _ => {
-                return Err(format!(
-                    "bucket le label mismatch (want {})",
-                    le_label(bound)
-                ))
-            }
-        }
-        *out = sample
-            .value
+        *out = cumulative
             .checked_sub(previous)
             .ok_or_else(|| "histogram buckets are not cumulative".to_string())?;
-        previous = sample.value;
+        previous = cumulative;
     }
-    let count = next_plain(&mut iter, "mosaicd_request_latency_us_count")?;
-    if count != previous {
+    if next_plain(&mut iter, &format!("{HISTOGRAM}_count"))? != previous {
         return Err("histogram count disagrees with +Inf bucket".to_string());
     }
 
-    // Stage samples: a run of ticks lines, then a run of spans lines
-    // whose (domain, stage) sequence must match exactly.
-    let mut ticks: Vec<(String, String, u64)> = Vec::new();
-    while iter
-        .peek()
-        .is_some_and(|s| s.name == "mosaicd_stage_ticks_total")
-    {
-        let sample = iter
-            .next()
-            .ok_or_else(|| "peeked sample vanished".to_string())?;
-        let (domain, stage) = stage_labels(&sample)?;
-        ticks.push((domain, stage, sample.value));
-    }
-    let mut spans: Vec<(String, String, u64)> = Vec::new();
-    while iter
-        .peek()
-        .is_some_and(|s| s.name == "mosaicd_stage_spans_total")
-    {
-        let sample = iter
-            .next()
-            .ok_or_else(|| "peeked sample vanished".to_string())?;
-        let (domain, stage) = stage_labels(&sample)?;
-        spans.push((domain, stage, sample.value));
-    }
+    // A run of ticks samples, then a run of spans samples whose
+    // (domain, stage) sequence must match exactly.
+    let ticks = next_run(&mut iter, STAGE_TICKS)?;
+    let spans = next_run(&mut iter, STAGE_SPANS)?;
     if ticks.len() != spans.len() {
         return Err("stage ticks/spans sample counts differ".to_string());
     }
     let mut wall_stages = Vec::new();
     let mut sim_stages = Vec::new();
-    for ((t_domain, t_stage, total_ticks), (s_domain, s_stage, span_count)) in
-        ticks.into_iter().zip(spans)
-    {
-        if t_domain != s_domain || t_stage != s_stage {
+    for ((labels, total_ticks), (span_labels, span_count)) in ticks.into_iter().zip(spans) {
+        if labels != span_labels {
             return Err("stage ticks/spans samples disagree on labels".to_string());
         }
+        let (domain, stage) = match labels.as_slice() {
+            [(dk, domain), (sk, stage)] if dk == "domain" && sk == "stage" => {
+                (domain.clone(), stage.clone())
+            }
+            _ => return Err(format!("{STAGE_TICKS} needs domain=…,stage=… labels")),
+        };
         let entry = StageEntry {
-            stage: t_stage,
+            stage,
             total_ticks,
             spans: span_count,
         };
-        match t_domain.as_str() {
+        match domain.as_str() {
             "wall" => wall_stages.push(entry),
             "sim" => sim_stages.push(entry),
             other => return Err(format!("unknown stage domain {other:?}")),
         }
     }
 
-    let traces_buffered = next_plain(&mut iter, "mosaicd_traces_buffered")?;
-    let trace_capacity = next_plain(&mut iter, "mosaicd_trace_capacity")?;
-    let traces_dropped = next_plain(&mut iter, "mosaicd_traces_dropped_total")?;
+    let mut ring = [0u64; RING.len()];
+    for (out, (name, ..)) in ring.iter_mut().zip(RING) {
+        *out = next_plain(&mut iter, name)?;
+    }
+    let [traces_buffered, trace_capacity, traces_dropped] = ring;
     if iter.next().is_some() {
         return Err("unexpected trailing samples".to_string());
     }
 
     Ok(MetricsReport {
-        stats: StatsSnapshot {
-            requests,
-            predicts,
-            recommends,
-            errors,
-            too_long,
-            busy,
-            queue_depth,
-            connections,
-            registry,
-            cache,
-            rec_cache,
-            pred_cache_len,
-            buckets,
-        },
+        stats,
         pred_cache_shard_lens,
         wall_stages,
         sim_stages,
@@ -607,6 +370,8 @@ pub fn parse_metrics(text: &str) -> Result<MetricsReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheCounters;
+    use crate::registry::RegistryCounters;
 
     fn sample_report() -> MetricsReport {
         let mut buckets = [0u64; BUCKET_BOUNDS_US.len()];
@@ -672,28 +437,15 @@ mod tests {
 
     #[test]
     fn exposition_covers_every_stats_counter() {
-        let text = render_metrics(&sample_report());
+        let report = sample_report();
+        let text = render_metrics(&report);
+        for row in ROWS {
+            let needle = format!("\n{} {}\n", row.name, (row.get)(&report.stats));
+            assert!(text.contains(&needle), "missing {needle:?} in:\n{text}");
+        }
         for needle in [
-            "mosaicd_requests_total 8",
-            "mosaicd_predicts_total 6",
-            "mosaicd_errors_total 1",
-            "mosaicd_too_long_total 1",
-            "mosaicd_busy_total 2",
-            "mosaicd_queue_depth 3",
-            "mosaicd_connections 4",
-            "mosaicd_registry_hits_total 5",
-            "mosaicd_registry_misses_total 1",
-            "mosaicd_registry_disk_loads_total 1",
-            "mosaicd_registry_fitting 1",
-            "mosaicd_registry_sampled_rejections_total 2",
-            "mosaicd_prediction_cache_hits_total 4",
-            "mosaicd_prediction_cache_misses_total 2",
-            "mosaicd_prediction_cache_len 9",
             "mosaicd_prediction_cache_shard_len{shard=\"0\"} 4",
             "mosaicd_prediction_cache_shard_len{shard=\"2\"} 5",
-            "mosaicd_recommends_total 3",
-            "mosaicd_recommend_cache_hits_total 2",
-            "mosaicd_recommend_cache_misses_total 1",
             "mosaicd_request_latency_us_bucket{le=\"50\"} 5",
             "mosaicd_request_latency_us_bucket{le=\"+Inf\"} 8",
             "mosaicd_request_latency_us_count 8",

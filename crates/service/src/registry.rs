@@ -233,8 +233,7 @@ impl ModelRegistry {
             .unwrap_or(&FALLBACK)
     }
 
-    /// Pairs resident per entries shard, in shard-index order — the
-    /// `mosaicd_registry_shard_pairs` gauge series.
+    /// Pairs resident per entries shard, in shard-index order.
     pub fn entry_shard_lens(&self) -> Vec<usize> {
         self.entries
             .iter()

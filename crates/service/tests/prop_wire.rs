@@ -16,69 +16,24 @@
 
 use obs::{parse_trace, render_trace, ClockDomain, Span, Trace};
 use proptest::prelude::*;
-use service::cache::CacheCounters;
-use service::metrics::{StatsSnapshot, BUCKET_BOUNDS_US};
+use service::metrics::{StatsSnapshot, BUCKET_BOUNDS_US, ROWS};
 use service::prom::{parse_metrics, render_metrics, MetricsReport, StageEntry};
 use service::protocol::{parse_trace_header, render_trace_header};
-use service::registry::RegistryCounters;
 
 fn snapshot_strategy() -> impl Strategy<Value = StatsSnapshot> {
     (
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-        ),
-        (any::<u64>(), any::<u64>()),
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-        ),
-        (any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), any::<u64>()),
+        prop::collection::vec(any::<u64>(), ROWS.len()),
         prop::collection::vec(0u64..1_000_000, BUCKET_BOUNDS_US.len()),
     )
-        .prop_map(|(core, gauges, reg, cache, rec, bucket_vec)| {
-            let (requests, predicts, recommends, errors, busy, queue_depth) = core;
-            let (too_long, connections) = gauges;
-            let (hits, misses, disk_loads, fitting, sampled_rejections) = reg;
-            let mut buckets = [0u64; BUCKET_BOUNDS_US.len()];
-            for (out, v) in buckets.iter_mut().zip(bucket_vec) {
+        .prop_map(|(values, bucket_vec)| {
+            let mut snap = StatsSnapshot::default();
+            for (row, v) in ROWS.iter().zip(values) {
+                *(row.get_mut)(&mut snap) = v;
+            }
+            for (out, v) in snap.buckets.iter_mut().zip(bucket_vec) {
                 *out = v;
             }
-            StatsSnapshot {
-                requests,
-                predicts,
-                recommends,
-                errors,
-                too_long,
-                busy,
-                queue_depth,
-                connections,
-                registry: RegistryCounters {
-                    hits,
-                    misses,
-                    disk_loads,
-                    fitting,
-                    sampled_rejections,
-                },
-                cache: CacheCounters {
-                    hits: cache.0,
-                    misses: cache.1,
-                },
-                rec_cache: CacheCounters {
-                    hits: rec.0,
-                    misses: rec.1,
-                },
-                pred_cache_len: rec.2,
-                buckets,
-            }
+            snap
         })
 }
 

@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 
 use harness::{Grid, MeasureContext, Speed};
 use service::client::{Client, ClientError};
+use service::metrics::ROWS;
 use service::registry::ModelRegistry;
 use service::server::{predict, Server, ServerConfig};
 
@@ -630,14 +631,15 @@ fn metrics_exposition_covers_stats_and_roundtrips() {
     // later sees exactly one more.
     let snap = client.stats().unwrap();
     let report = client.metrics().unwrap();
-    assert_eq!(report.stats.requests, snap.requests + 1);
-    assert_eq!(report.stats.predicts, snap.predicts);
-    assert_eq!(report.stats.errors, snap.errors);
-    assert_eq!(report.stats.too_long, snap.too_long);
-    assert_eq!(report.stats.registry, snap.registry);
-    assert_eq!(report.stats.cache, snap.cache);
-    assert_eq!(report.stats.rec_cache, snap.rec_cache);
-    assert_eq!(report.stats.pred_cache_len, snap.pred_cache_len);
+    for row in ROWS {
+        let later = u64::from(row.key == "requests");
+        assert_eq!(
+            (row.get)(&report.stats),
+            (row.get)(&snap) + later,
+            "{} disagrees between stats and metrics",
+            row.key
+        );
+    }
     assert_eq!(
         report.stats.connections, 1,
         "exactly this client's connection is open"
@@ -673,25 +675,13 @@ fn metrics_exposition_covers_stats_and_roundtrips() {
     // parse∘render reproduces it byte-for-byte.
     let text = client.metrics_text().unwrap();
     assert!(text.ends_with("# EOF\n"), "exposition is not self-framing");
+    let parsed = service::prom::parse_metrics(&text).unwrap();
+    for row in ROWS {
+        let needle = format!("\n{} {}\n", row.name, (row.get)(&parsed.stats));
+        assert!(text.contains(&needle), "exposition is missing {needle:?}");
+    }
     for needle in [
-        "mosaicd_requests_total ",
-        "mosaicd_predicts_total ",
-        "mosaicd_errors_total ",
-        "mosaicd_too_long_total ",
-        "mosaicd_busy_total ",
-        "mosaicd_queue_depth ",
-        "mosaicd_connections ",
         "mosaicd_prediction_cache_shard_len{shard=\"0\"}",
-        "mosaicd_registry_hits_total ",
-        "mosaicd_registry_misses_total ",
-        "mosaicd_registry_disk_loads_total ",
-        "mosaicd_registry_fitting ",
-        "mosaicd_prediction_cache_hits_total ",
-        "mosaicd_prediction_cache_misses_total ",
-        "mosaicd_prediction_cache_len ",
-        "mosaicd_recommends_total ",
-        "mosaicd_recommend_cache_hits_total ",
-        "mosaicd_recommend_cache_misses_total ",
         "mosaicd_request_latency_us_bucket{le=\"50\"}",
         "mosaicd_request_latency_us_bucket{le=\"+Inf\"}",
         "mosaicd_request_latency_us_count ",
@@ -704,7 +694,6 @@ fn metrics_exposition_covers_stats_and_roundtrips() {
     ] {
         assert!(text.contains(needle), "exposition is missing {needle:?}");
     }
-    let parsed = service::prom::parse_metrics(&text).unwrap();
     assert_eq!(
         service::prom::render_metrics(&parsed),
         text,
