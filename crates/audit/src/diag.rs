@@ -6,7 +6,7 @@ use std::fmt;
 /// One finding: a rule violation at a source location.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable rule identifier (`determinism`, `panic-surface`, ...).
+    /// Stable rule identifier (`lock-discipline`, `arith-safety`, ...).
     pub rule: &'static str,
     /// Workspace-relative path, `/`-separated.
     pub path: String,
@@ -129,16 +129,16 @@ mod tests {
     #[test]
     fn text_rendering_is_rustc_style() {
         let d = Diagnostic {
-            rule: "determinism",
-            path: "crates/memsim/src/tlb.rs".into(),
+            rule: "bit-exactness",
+            path: "crates/mosmodel/src/persist.rs".into(),
             line: 12,
             col: 9,
-            message: "HashMap iteration order is nondeterministic".into(),
+            message: "lossy float format `{:.3}` in an on-disk codec".into(),
         };
         assert_eq!(
             d.to_string(),
-            "crates/memsim/src/tlb.rs:12:9: error[determinism]: \
-             HashMap iteration order is nondeterministic"
+            "crates/mosmodel/src/persist.rs:12:9: error[bit-exactness]: \
+             lossy float format `{:.3}` in an on-disk codec"
         );
     }
 
@@ -175,15 +175,15 @@ mod tests {
         );
         // Empty report still carries the rule table and an empty results
         // array.
-        let empty = render_sarif(&[], &["determinism"]);
+        let empty = render_sarif(&[], &["bit-exactness"]);
         assert!(empty.contains("\"results\": []"));
-        assert!(empty.contains("{\"id\": \"determinism\"}"));
+        assert!(empty.contains("{\"id\": \"bit-exactness\"}"));
     }
 
     #[test]
     fn json_escapes_and_counts() {
         let diags = vec![Diagnostic {
-            rule: "panic-surface",
+            rule: "wire-conformance",
             path: "a/b.rs".into(),
             line: 1,
             col: 2,

@@ -1,21 +1,21 @@
-//! **mosaic-audit** — workspace static analysis for the reproduction's
-//! non-negotiables: determinism, panic-freedom, and bit-exactness.
+//! **mosaic-audit** — workspace static analysis for the invariants a
+//! type checker cannot see: bit-exact persistence, versioned formats,
+//! lock discipline, arithmetic safety and wire conformance.
 //!
-//! The study's ground truth is a deterministic simulator: Mosmodel's
-//! error bounds (paper §6) only mean anything if the `(R, H, M, C)`
-//! samples are bit-exact across runs, and the persisted model store
-//! only serves correct answers if every `f64` survives its text
-//! round-trip. Nothing in the type system stops a contributor from
-//! introducing a randomly-seeded `HashMap` iteration, a wall-clock
-//! read, or a `{:.3}` float rendering into those paths — such a change
-//! compiles, passes most tests, and surfaces weeks later as mysterious
-//! grid drift. This crate closes that gap mechanically.
+//! The persisted model store only serves correct answers if every
+//! `f64` survives its text round-trip. Nothing in the type system stops
+//! a contributor from introducing a `{:.3}` float rendering into a
+//! codec — such a change compiles, passes most tests, and surfaces
+//! weeks later as mysterious prediction drift. This crate closes that
+//! gap mechanically. Determinism and panic-freedom are not its job:
+//! clippy enforces them (the ban table in `crates/clippy.toml` and the
+//! `deny` attributes of the request-path crates and modules).
 //!
-//! Beyond the lexical rules, two shipped bug classes motivated semantic
-//! analysis: a lock guard held across a model fit serialized every
-//! request on one mutex (PR 4), and an unchecked `total * q` overflowed
-//! u64 in the percentile rank (PR 3). Neither is visible to a flat
-//! token scan — both need to know where blocks begin and end.
+//! Two shipped bug classes motivated semantic analysis: a lock guard
+//! held across a model fit serialized every request on one mutex, and
+//! an unchecked `total * q` overflowed u64 in the percentile rank.
+//! Neither is visible to a flat token scan — both need to know where
+//! blocks begin and end.
 //!
 //! # How it works
 //!
@@ -41,8 +41,8 @@
 //! with a justified inline comment:
 //!
 //! ```text
-//! // audit:allow(determinism) probe map is never iterated or serialized
-//! let mut probes: HashMap<u64, u32> = HashMap::new();
+//! // audit:allow(arith-safety) callers bound total_count below 2^16, so the product fits u32
+//! let rank = total_count * q / 100;
 //! ```
 //!
 //! The justification string is mandatory — a bare `audit:allow(rule)`

@@ -1,30 +1,31 @@
 //! The audit rule set.
 //!
 //! Every rule is scoped by path: the invariants are *project-specific*
-//! (which crates form the deterministic simulation core, which files
-//! are on the mosaicd request path, which modules are on-disk codecs),
+//! (which files hold the serving plane's locks, which run inside a
+//! mosaicd request, which modules are on-disk codecs),
 //! so the scope tables below are part of the rule definitions. A file
 //! outside every scope produces no diagnostics no matter what it
 //! contains.
 //!
 //! | rule | scope | forbids |
 //! |---|---|---|
-//! | `determinism` | simulation crates (incl. `obs`, `recommend`) + persistence modules | default-hasher `HashMap`/`HashSet`, `SystemTime`, `Instant::now`, non-seeded RNG |
-//! | `panic-surface` | mosaicd request path + `obs` + `recommend` | `.unwrap()`, `.expect()`, `panic!`-family, direct slice indexing |
 //! | `bit-exactness` | on-disk codec modules | lossy float format specs; floats without a bit-exact codec |
 //! | `version-header` | on-disk codec modules | writers/parsers without a `# mosaic-... vN` header constant |
 //! | `lock-discipline` | `service` + `obs` + the singleflight memo | guards live across fit/simulate/blocking I/O, lock-order inversions, re-acquisition |
 //! | `arith-safety` | `service` + request path + codecs | truncating `as` casts; unchecked `*`/`+` on counter-named values |
 //! | `wire-conformance` | cross-file (see [`crate::conformance`]) | protocol verbs missing a server arm, client method, CLI frontend, or README mention |
-//! | `block-structure` | any scoped file | unbalanced delimiters the semantic rules cannot see past |
+//! | `block-structure` | any file a rule above scans | unbalanced delimiters the semantic rules cannot see past |
 //!
-//! The motivation is the paper's methodology: Mosmodel's error bounds
-//! (§6) are only meaningful if `(R, H, M, C)` samples are bit-exact
-//! across runs, and the persisted model store only serves identical
-//! predictions if every `f64` survives its text round-trip exactly.
-//! The semantic rules guard the two worst shipped bug classes: a lock
-//! held across a model fit (PR 4) and a u64 overflow in the percentile
-//! rank computation (PR 3) — both invisible to a flat token scan.
+//! Determinism and panic-freedom are clippy's to enforce, not this
+//! crate's: `crates/clippy.toml` bans randomly seeded hashers and clock
+//! reads workspace-wide, and the crates and modules on the mosaicd
+//! request path deny the `unwrap`/`expect`/indexing/`panic!` lints. The
+//! rules here check what a type checker cannot. The persisted model
+//! store only serves identical predictions if every `f64` survives its
+//! text round-trip exactly. The semantic rules guard the two worst
+//! shipped bug classes, a lock held across a model fit and a u64
+//! overflow in the percentile rank computation, both invisible to a
+//! flat token scan.
 
 use crate::block::{DelimKind, Owner};
 use crate::diag::Diagnostic;
@@ -33,9 +34,7 @@ use crate::source::FileView;
 
 /// Stable ids of all scoped rules, in reporting order. (`suppression`,
 /// the meta-rule for malformed `audit:allow` comments, is implicit.)
-pub const RULE_IDS: [&str; 8] = [
-    "determinism",
-    "panic-surface",
+pub const RULE_IDS: [&str; 6] = [
     "bit-exactness",
     "version-header",
     "lock-discipline",
@@ -57,9 +56,7 @@ pub const LOCK_ORDER: [&str; 5] = ["cv_errors", "entries", "slots", "queue", "in
 /// workspace audit — the suppression-debt budget. `--deny` fails when a
 /// rule's waiver count exceeds its ceiling, so debt cannot accrete
 /// silently: raising a ceiling is a reviewed diff to this table.
-pub const SUPPRESSION_BUDGET: [(&str, usize); 8] = [
-    ("determinism", 4),
-    ("panic-surface", 6),
+pub const SUPPRESSION_BUDGET: [(&str, usize); 6] = [
     ("bit-exactness", 2),
     ("version-header", 2),
     ("lock-discipline", 3),
@@ -68,67 +65,17 @@ pub const SUPPRESSION_BUDGET: [(&str, usize); 8] = [
     ("block-structure", 1),
 ];
 
-/// Crates whose `src/` trees form the deterministic simulation core.
-/// `obs` belongs here because sim-domain traces must be byte-identical
-/// across runs: a wall-clock read or random iteration order inside the
-/// tracer would leak into rendered spans. `recommend` belongs here
-/// because two independent servers must produce byte-identical
-/// recommendations for the same request: its random explorer is seeded
-/// from the canonical budget string, and any entropy or clock read
-/// would break that.
-const SIM_CRATES: [&str; 6] = [
-    "memsim",
-    "machine",
-    "vmcore",
-    "workloads",
-    "obs",
-    "recommend",
-];
-
-/// Modules that write or memoize on-disk or in-memory state whose
-/// iteration/eviction order must be deterministic (store/cache files,
-/// the prediction cache). The fan-out (`parallel.rs`) belongs here: its
-/// reduction order decides the byte order of the grid cache TSV, so a
-/// nondeterministic collection or clock read inside it would smear
-/// thread scheduling into persisted files. K-fold CV (`cv.rs`) reduces
-/// its fanned-out folds into the CV error the registry memoizes and
-/// `recommend` reports, so it is held to the same rule.
-const PERSIST_MODULES: [&str; 7] = [
-    "crates/mosmodel/src/persist.rs",
-    "crates/mosmodel/src/cv.rs",
-    "crates/harness/src/experiment.rs",
-    "crates/vmcore/src/parallel.rs",
-    "crates/harness/src/sampled.rs",
-    "crates/service/src/registry.rs",
-    "crates/service/src/cache.rs",
-];
-
 /// Modules that define an on-disk text codec (format + parse).
 const CODEC_MODULES: [&str; 2] = [
     "crates/mosmodel/src/persist.rs",
     "crates/harness/src/experiment.rs",
 ];
 
-/// The mosaicd request path: code a malformed or hostile request can
-/// reach. A panic here kills a worker thread. The tracer, the metrics
-/// registers and both wire codecs of the counter table run inside every
-/// request, so they are on the path too (the whole `obs` crate is
-/// included via [`on_request_path`]).
-/// The fan-out (`parallel.rs`) is included because a cold fit —
-/// reachable from any predict/warm request — runs it on the worker's
-/// thread: an unwrap inside the pool would turn a measurement hiccup
-/// into a dead worker. The sampling gate (`sampled.rs`) is on the path
-/// for the same reason: a sampled grid evaluates it during any cold
-/// battery build a warm/predict request triggers. K-fold CV (`cv.rs`)
-/// runs its fold fan-out on the `recommend` worker's thread.
-const REQUEST_PATH: [&str; 10] = [
-    "crates/service/src/server.rs",
-    "crates/service/src/protocol.rs",
-    "crates/service/src/registry.rs",
-    "crates/service/src/cache.rs",
-    "crates/service/src/trace.rs",
-    "crates/service/src/prom.rs",
-    "crates/service/src/metrics.rs",
+/// Modules outside `service`, `obs` and `recommend` whose integer math
+/// runs inside a mosaicd request: a cold fit runs the battery fan-out
+/// (`parallel.rs`) and the sampling gate (`sampled.rs`), and `recommend`
+/// runs K-fold CV (`cv.rs`).
+const REQUEST_PATH: [&str; 3] = [
     "crates/vmcore/src/parallel.rs",
     "crates/harness/src/sampled.rs",
     "crates/mosmodel/src/cv.rs",
@@ -138,28 +85,10 @@ fn file_name(path: &str) -> &str {
     path.rsplit('/').next().unwrap_or(path)
 }
 
-fn in_sim_crate(path: &str) -> bool {
-    SIM_CRATES
-        .iter()
-        .any(|c| path.contains(&format!("crates/{c}/src/")))
-}
-
-fn is_persistence(path: &str) -> bool {
-    PERSIST_MODULES.iter().any(|m| path.ends_with(m)) || is_codec(path)
-}
-
 fn is_codec(path: &str) -> bool {
     CODEC_MODULES.iter().any(|m| path.ends_with(m))
         || file_name(path).contains("persist")
         || file_name(path).contains("codec")
-}
-
-fn on_request_path(path: &str) -> bool {
-    REQUEST_PATH.iter().any(|m| path.ends_with(m))
-        || path.contains("crates/obs/src/")
-        // The whole recommendation engine runs inside the `recommend`
-        // verb's worker thread; a panic there kills the worker.
-        || path.contains("crates/recommend/src/")
 }
 
 /// Where the serving plane's locks live: everything under `service` and
@@ -173,30 +102,26 @@ fn in_lock_scope(path: &str) -> bool {
 }
 
 /// Integer math that request handling or a codec depends on: all of
-/// `service` (including `metrics.rs`, home of the PR-3 overflow), the
-/// request path (`obs`, `recommend`), and every on-disk codec.
+/// `service` (including `metrics.rs`, home of the percentile-rank
+/// overflow), `obs` and `recommend`, the [`REQUEST_PATH`] modules, and
+/// every on-disk codec.
 fn in_arith_scope(path: &str) -> bool {
-    path.contains("crates/service/src/") || on_request_path(path) || is_codec(path)
+    ["service", "obs", "recommend"]
+        .iter()
+        .any(|c| path.contains(&format!("crates/{c}/src/")))
+        || REQUEST_PATH.iter().any(|m| path.ends_with(m))
+        || is_codec(path)
 }
 
+/// Any file a rule above scans (codecs are in the arith scope).
 fn in_any_scope(path: &str) -> bool {
-    in_sim_crate(path)
-        || is_persistence(path)
-        || on_request_path(path)
-        || in_lock_scope(path)
-        || in_arith_scope(path)
+    in_lock_scope(path) || in_arith_scope(path)
 }
 
 /// Runs every applicable rule over `view`, honors suppressions, and
 /// appends suppression-misuse diagnostics.
 pub fn check_file(view: &FileView<'_>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    if in_sim_crate(&view.path) || is_persistence(&view.path) {
-        determinism(view, &mut diags);
-    }
-    if on_request_path(&view.path) {
-        panic_surface(view, &mut diags);
-    }
     if is_codec(&view.path) {
         bit_exactness(view, &mut diags);
         version_header(view, &mut diags);
@@ -219,143 +144,12 @@ pub fn check_file(view: &FileView<'_>) -> Vec<Diagnostic> {
     diags
 }
 
-/// Does the code token at code-position `p` (with lookahead) spell out
-/// `words` (comments skipped, multi-char operators split)?
-fn seq(view: &FileView<'_>, p: usize, words: &[&str]) -> bool {
-    words.iter().enumerate().all(|(k, w)| {
-        view.code
-            .get(p + k)
-            .is_some_and(|&idx| view.tokens[idx].text == *w)
-    })
-}
-
-/// Rule 1 — nondeterminism in the simulation core and persistence
-/// paths. The simulator is the study's ground truth: a wall-clock read
-/// or a randomly-seeded structure silently degrades the <3% (paper §6)
-/// error bound into run-to-run grid drift.
-fn determinism(view: &FileView<'_>, out: &mut Vec<Diagnostic>) {
-    const RULE: &str = "determinism";
-    for (p, &idx) in view.code.iter().enumerate() {
-        let t = &view.tokens[idx];
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        match t.text {
-            "HashMap" | "HashSet" | "RandomState" => out.push(view.diag_at(
-                RULE,
-                idx,
-                format!(
-                    "`{}` uses a randomly-seeded hasher; iteration order changes across runs \
-                     — use BTreeMap/BTreeSet or sort before iterating/serializing",
-                    t.text
-                ),
-            )),
-            "SystemTime" => out.push(
-                view.diag_at(
-                    RULE,
-                    idx,
-                    "`SystemTime` reads the wall clock; simulation and persistence code must be \
-                 a pure function of its inputs"
-                        .to_string(),
-                ),
-            ),
-            "Instant" if seq(view, p + 1, &[":", ":", "now"]) => out.push(
-                view.diag_at(
-                    RULE,
-                    idx,
-                    "`Instant::now()` makes behaviour timing-dependent; derive timing from \
-                 simulated cycle counts instead"
-                        .to_string(),
-                ),
-            ),
-            "thread_rng" | "from_entropy" => out.push(view.diag_at(
-                RULE,
-                idx,
-                format!(
-                    "`{}` draws OS entropy; use an explicitly seeded RNG (e.g. an FNV-derived \
-                     workload seed) so runs are reproducible",
-                    t.text
-                ),
-            )),
-            "rand" if seq(view, p + 1, &[":", ":", "random"]) => out.push(
-                view.diag_at(
-                    RULE,
-                    idx,
-                    "`rand::random()` draws OS entropy; use an explicitly seeded RNG so runs are \
-                 reproducible"
-                        .to_string(),
-                ),
-            ),
-            _ => {}
-        }
-    }
-}
-
-/// Keywords that can directly precede `[` without forming an index
-/// expression (`&mut [0u8; 4]`, `return [a, b]`, `match x { .. }`).
-const NON_INDEX_KEYWORDS: [&str; 14] = [
+/// Keywords that can directly precede `*`, `+` or `as` without being
+/// an operand (`&mut *guard`, `return *p`, `if *flag`).
+const NON_OPERAND_KEYWORDS: [&str; 14] = [
     "mut", "let", "ref", "in", "return", "match", "if", "else", "move", "as", "break", "box",
     "dyn", "const",
 ];
-
-/// Rule 2 — panics on the mosaicd request path. A panic in request
-/// handling kills a worker thread: enough malformed requests and the
-/// pool is dead while the acceptor keeps admitting connections.
-/// Errors must travel as protocol-level `err ...` responses.
-fn panic_surface(view: &FileView<'_>, out: &mut Vec<Diagnostic>) {
-    const RULE: &str = "panic-surface";
-    for (p, &idx) in view.code.iter().enumerate() {
-        let t = &view.tokens[idx];
-        match (t.kind, t.text) {
-            (TokenKind::Ident, "unwrap" | "expect")
-                if p > 0 && view.tokens[view.code[p - 1]].text == "." =>
-            {
-                out.push(view.diag_at(
-                    RULE,
-                    idx,
-                    format!(
-                        "`.{}()` on the request path can panic a worker; return a \
-                         protocol-level error response instead",
-                        t.text
-                    ),
-                ));
-            }
-            (TokenKind::Ident, "panic" | "unreachable" | "todo" | "unimplemented")
-                if seq(view, p + 1, &["!"]) =>
-            {
-                out.push(view.diag_at(
-                    RULE,
-                    idx,
-                    format!(
-                        "`{}!` on the request path kills a worker thread; return a \
-                         protocol-level error response instead",
-                        t.text
-                    ),
-                ));
-            }
-            (TokenKind::Punct, "[") if p > 0 => {
-                let prev = &view.tokens[view.code[p - 1]];
-                let indexes_into = match prev.kind {
-                    TokenKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text),
-                    TokenKind::Punct => prev.text == ")" || prev.text == "]",
-                    _ => false,
-                };
-                if indexes_into {
-                    out.push(
-                        view.diag_at(
-                            RULE,
-                            idx,
-                            "direct indexing on the request path panics on out-of-bounds input; \
-                         use `.get(..)` and handle `None` as a protocol error"
-                                .to_string(),
-                        ),
-                    );
-                }
-            }
-            _ => {}
-        }
-    }
-}
 
 /// The blessed bit-exact float codecs (hex-bit and shortest-roundtrip).
 const FLOAT_CODECS: [&str; 6] = [
@@ -367,7 +161,7 @@ const FLOAT_CODECS: [&str; 6] = [
     "parse_f64_shortest",
 ];
 
-/// Rule 3 — lossy floats in on-disk codecs. The model store and grid
+/// Rule 1 — lossy floats in on-disk codecs. The model store and grid
 /// cache only reproduce in-memory predictions bit-for-bit if every
 /// `f64` round-trips exactly; a `{:.3}`-style rendering quietly
 /// truncates coefficients.
@@ -447,7 +241,7 @@ fn lossy_specs(literal: &str) -> Vec<String> {
     found
 }
 
-/// Rule 4 — versioned on-disk formats. Every writer/parser must
+/// Rule 2 — versioned on-disk formats. Every writer/parser must
 /// reference a `# mosaic-... vN` header constant so stale files are
 /// re-measured instead of mis-parsed (the grid cache and model store
 /// both learned this the hard way; see `# mosaic-cache v2`).
@@ -510,13 +304,14 @@ struct Guard<'v> {
     end: usize,
 }
 
-/// Rule 5 — lock discipline on the serving plane. The PR-4 outage
-/// class: a guard held across a model fit serializes every request on
-/// that lock. Liveness is approximated by scope nesting: a `let`-bound
-/// guard lives to the end of its enclosing brace block (or an explicit
-/// `drop(guard)`); an unbound temporary lives to the end of its
-/// statement. Guards returned by helper functions are invisible — see
-/// DESIGN §12 for what this rule cannot see.
+/// Rule 3 — lock discipline on the serving plane. The head-of-line
+/// outage class: a guard held across a model fit serializes every
+/// request on that lock. Liveness is approximated by scope nesting: a
+/// guard bound by `let` to the acquisition itself lives to the end of
+/// its enclosing brace block (or an explicit `drop(guard)`); any other
+/// guard is a temporary that lives to the end of its statement. Guards
+/// returned by helper functions are invisible — see DESIGN §12 for what
+/// this rule cannot see.
 fn lock_discipline(view: &FileView<'_>, out: &mut Vec<Diagnostic>) {
     const RULE: &str = "lock-discipline";
     let n = view.code.len();
@@ -541,10 +336,35 @@ fn lock_discipline(view: &FileView<'_>, out: &mut Vec<Diagnostic>) {
         Some(recv)
     };
 
-    // Is the acquisition at `p` bound by a plain `let <name> =` in its
-    // statement? Destructuring patterns (`if let Some(x) = ...`) keep
-    // the guard a temporary of the scrutinee.
+    // Does the statement end with the acquisition at `p`, unwrapped at
+    // most by `.unwrap()`, `.expect(..)`, `.unwrap_or_else(..)` or `?`?
+    // Only then can a `let` hold the guard: in
+    // `let v = m.slots.read().get(k).cloned();` it binds a value, and
+    // the guard is a temporary that dies at the `;`.
+    let yields_guard = |p: usize| -> bool {
+        let mut q = p + 3;
+        if q < n && text(q) == "?" {
+            q += 1;
+        } else if q + 2 < n
+            && text(q) == "."
+            && matches!(text(q + 1), "unwrap" | "expect" | "unwrap_or_else")
+            && text(q + 2) == "("
+        {
+            // Past the paren block opened at `q + 2`.
+            let call = view.blocks.enclosing.get(q + 3).copied().flatten();
+            q = call.map_or(n, |b| view.blocks.block_end(b, n)) + 1;
+        }
+        q < n && text(q) == ";"
+    };
+
+    // Is the acquisition at `p` bound by a plain `let <name> =` that
+    // holds the guard itself? Destructuring patterns
+    // (`if let Some(x) = ...`) keep the guard a temporary of the
+    // scrutinee.
     let let_binding = |p: usize| -> Option<&str> {
+        if !yields_guard(p) {
+            return None;
+        }
         let lo = p.saturating_sub(64);
         let mut j = p;
         while j > lo {
@@ -724,8 +544,8 @@ fn stmt_has_arith_escape(view: &FileView<'_>, p: usize) -> bool {
     false
 }
 
-/// Rule 6 — arithmetic safety on the request path and in codecs. The
-/// PR-3 bug class: `total * q` overflowed u64 once the histogram had
+/// Rule 4 — arithmetic safety on the request path and in codecs. The
+/// percentile-rank bug class: `total * q` overflowed u64 once the histogram had
 /// seen enough samples. Flags narrowing `as` casts and unchecked
 /// `*`/`+` where an operand is counter-named, unless the statement
 /// widens (`u128::from`) or checks (`checked_`/`saturating_`) the math.
@@ -740,7 +560,7 @@ fn arith_safety(view: &FileView<'_>, out: &mut Vec<Diagnostic>) {
         if t.kind == TokenKind::Ident && t.text == "as" && p > 0 && p + 1 < n {
             let prev = tok(p - 1);
             let casts_value = match prev.kind {
-                TokenKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text),
+                TokenKind::Ident => !NON_OPERAND_KEYWORDS.contains(&prev.text),
                 TokenKind::Number => true,
                 TokenKind::Punct => matches!(prev.text, ")" | "]"),
                 _ => false,
@@ -763,7 +583,7 @@ fn arith_safety(view: &FileView<'_>, out: &mut Vec<Diagnostic>) {
             let prev = tok(p - 1);
             let next = tok(p + 1);
             let binary = matches!(prev.kind, TokenKind::Ident | TokenKind::Number)
-                && !NON_INDEX_KEYWORDS.contains(&prev.text)
+                && !NON_OPERAND_KEYWORDS.contains(&prev.text)
                 || (prev.kind == TokenKind::Punct && matches!(prev.text, ")" | "]"));
             let has_operand = matches!(next.kind, TokenKind::Ident | TokenKind::Number)
                 || (next.kind == TokenKind::Punct && next.text == "(");
@@ -790,7 +610,7 @@ fn arith_safety(view: &FileView<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Rule 8 — unbalanced delimiters in a scoped file. The semantic rules
+/// Rule 6 — unbalanced delimiters in a scoped file. The semantic rules
 /// approximate liveness by scope nesting; past an unmatched delimiter
 /// that approximation is meaningless, so the imbalance itself is the
 /// finding (and arbitrary bytes stay a diagnostic, never a crash).
@@ -841,39 +661,9 @@ mod tests {
         diags.iter().map(|d| d.rule).collect()
     }
 
-    #[test]
-    fn determinism_flags_only_in_scope() {
-        let src = "use std::collections::HashMap;\nfn f() { let t = Instant::now(); }\n";
-        let hits = run("crates/memsim/src/tlb.rs", src);
-        assert_eq!(rules_hit(&hits), vec!["determinism", "determinism"]);
-        assert_eq!(hits[0].line, 1);
-        assert_eq!(hits[1].line, 2);
-        // Same source outside the scope: clean.
-        assert_eq!(run("crates/service/src/metrics.rs", src), vec![]);
-    }
-
-    #[test]
-    fn determinism_allows_instant_type_without_now() {
-        let src = "fn f(deadline: Instant) -> Instant { deadline }\n";
-        assert_eq!(run("crates/machine/src/engine.rs", src), vec![]);
-    }
-
-    #[test]
-    fn panic_surface_flags_the_family() {
-        let src = "fn f(v: &[u8]) -> u8 {\n    let x = v.get(0).unwrap();\n    \
-                   if v.is_empty() { panic!(\"no\") }\n    v[1]\n}\n";
-        let hits = run("crates/service/src/server.rs", src);
-        assert_eq!(
-            rules_hit(&hits),
-            vec!["panic-surface", "panic-surface", "panic-surface"]
-        );
-        // Array literals and `unwrap_or` are fine.
-        let ok = "fn g() -> u64 { u64::try_from(1i64).unwrap_or(0) }\n\
-                  fn h() { let _ = &mut [0u8; 4]; }\n";
-        assert_eq!(run("crates/service/src/server.rs", ok), vec![]);
-        // Out of scope: anything goes.
-        assert_eq!(run("crates/service/src/client.rs", src), vec![]);
-    }
+    /// Counter math that overflows u64: an `arith-safety` finding
+    /// wherever that rule is scoped.
+    const OVERFLOWING: &str = "fn f(total_count: u64, q: u64) -> u64 { total_count * q }\n";
 
     #[test]
     fn bit_exactness_needs_a_codec_and_no_lossy_specs() {
@@ -908,65 +698,56 @@ mod tests {
 
     #[test]
     fn suppressions_silence_and_misuse_reports() {
-        let src = "// audit:allow(determinism) probe map never iterated or serialized\n\
-                   use std::collections::HashMap;\nuse std::collections::HashSet;\n";
-        let hits = run("crates/vmcore/src/lib.rs", src);
+        let src = "// audit:allow(arith-safety) callers bound len below 2^16\n\
+                   fn a(len: u64) -> u16 { len as u16 }\nfn b(len: u64) -> u16 { len as u16 }\n";
+        let hits = run("crates/service/src/metrics.rs", src);
         // Line 2 suppressed, line 3 not.
-        assert_eq!(rules_hit(&hits), vec!["determinism"]);
+        assert_eq!(rules_hit(&hits), vec!["arith-safety"]);
         assert_eq!(hits[0].line, 3);
 
         // A reasonless suppression is itself an error AND does not
         // silence anything.
-        let bad = "// audit:allow(determinism)\nuse std::collections::HashMap;\n";
-        let hits = run("crates/vmcore/src/lib.rs", bad);
-        assert_eq!(rules_hit(&hits), vec!["suppression", "determinism"]);
+        let bad = "// audit:allow(arith-safety)\nfn a(len: u64) -> u16 { len as u16 }\n";
+        let hits = run("crates/service/src/metrics.rs", bad);
+        assert_eq!(rules_hit(&hits), vec!["suppression", "arith-safety"]);
     }
 
     #[test]
-    fn obs_crate_is_in_both_determinism_and_panic_surface_scope() {
-        // The tracer feeds byte-identical sim-domain traces, so clock
-        // reads are nondeterminism there...
-        let clocky = "fn stamp() -> Instant { Instant::now() }\n";
+    fn obs_crate_is_in_lock_and_arith_scope() {
+        // The tracer and the metrics registers run inside every mosaicd
+        // request, so a guard held across blocking I/O there stalls
+        // every request...
+        let locked = "fn f(r: &Ring) {\n    let ring = r.inner.lock();\n    flush(ring.len())\n}\n";
         assert_eq!(
-            rules_hit(&run("crates/obs/src/lib.rs", clocky)),
-            vec!["determinism"]
+            rules_hit(&run("crates/obs/src/lib.rs", locked)),
+            vec!["lock-discipline"]
         );
-        // ...and it runs inside every mosaicd request, so panics there
-        // kill a worker thread.
-        let panicky = "fn f(v: &[u8]) -> u8 { v.first().copied().unwrap() }\n";
+        // ...and their counter math must not overflow.
         assert_eq!(
-            rules_hit(&run("crates/obs/src/lib.rs", panicky)),
-            vec!["panic-surface"]
+            rules_hit(&run("crates/obs/src/lib.rs", OVERFLOWING)),
+            vec!["arith-safety"]
         );
         // Neither rule leaks to an out-of-scope crate.
-        assert_eq!(run("crates/layouts/src/lib.rs", clocky), vec![]);
-        assert_eq!(run("crates/layouts/src/lib.rs", panicky), vec![]);
+        assert_eq!(run("crates/layouts/src/lib.rs", locked), vec![]);
+        assert_eq!(run("crates/layouts/src/lib.rs", OVERFLOWING), vec![]);
     }
 
     #[test]
-    fn battery_fan_out_is_in_both_determinism_and_panic_surface_scope() {
-        // The fan-out's reduction order decides the grid cache's byte
-        // order and the CV error, so nondeterministic collections are
-        // persistence bugs there...
-        let hashy = "use std::collections::HashMap;\n";
-        // ...and cold fits and `recommend` run it on mosaicd worker
-        // threads, so an unwrap inside the pool kills a worker.
-        let panicky = "fn f(v: &[u8]) -> u8 { v[0] }\n";
+    fn battery_fan_out_is_in_arith_scope() {
+        // Cold fits and `recommend` run the fan-out and K-fold CV on
+        // mosaicd worker threads, so their counter math is request math.
         for path in ["crates/vmcore/src/parallel.rs", "crates/mosmodel/src/cv.rs"] {
-            assert_eq!(rules_hit(&run(path, hashy)), vec!["determinism"], "{path}");
             assert_eq!(
-                rules_hit(&run(path, panicky)),
-                vec!["panic-surface"],
+                rules_hit(&run(path, OVERFLOWING)),
+                vec!["arith-safety"],
                 "{path}"
             );
         }
-        // The panic scope does not leak to the rest of vmcore or
-        // mosmodel, and neither scope to the rest of the harness.
-        assert_eq!(run("crates/vmcore/src/layout.rs", panicky), vec![]);
-        assert_eq!(run("crates/mosmodel/src/lasso.rs", hashy), vec![]);
-        assert_eq!(run("crates/mosmodel/src/lasso.rs", panicky), vec![]);
-        assert_eq!(run("crates/harness/src/report.rs", hashy), vec![]);
-        assert_eq!(run("crates/harness/src/report.rs", panicky), vec![]);
+        // The scope does not leak to the rest of vmcore, mosmodel or the
+        // harness.
+        assert_eq!(run("crates/vmcore/src/layout.rs", OVERFLOWING), vec![]);
+        assert_eq!(run("crates/mosmodel/src/lasso.rs", OVERFLOWING), vec![]);
+        assert_eq!(run("crates/harness/src/report.rs", OVERFLOWING), vec![]);
     }
 
     #[test]
@@ -983,69 +764,89 @@ mod tests {
     }
 
     #[test]
-    fn sampling_gate_is_in_both_determinism_and_panic_surface_scope() {
-        // Gate verdicts are persisted in the grid cache's v4 header, so
-        // nondeterministic iteration inside the gate would smear into
-        // cache bytes...
-        let hashy = "use std::collections::HashMap;\n";
+    fn a_guard_used_inside_its_initializer_dies_at_the_semicolon() {
+        // Only the cloned value is bound; the guard is a temporary of
+        // the statement, so the fit below runs with no lock held.
+        let temp = "fn f(m: &M, k: u64) -> u64 {\n    \
+                    let v = m.slots.read().get(k).cloned();\n    fit_all(v)\n}\n";
+        assert_eq!(run("crates/vmcore/src/parallel.rs", temp), vec![]);
+        // Binding the guard itself, bare or unwrapped, keeps it live.
+        for init in [
+            "m.slots.read()",
+            "m.slots.read().unwrap()",
+            "m.slots.read().expect(\"poisoned\")",
+            "m.slots.read().unwrap_or_else(PoisonError::into_inner)",
+            "m.slots.read()?",
+        ] {
+            let held = format!(
+                "fn f(m: &M) -> u64 {{\n    let slots = {init};\n    fit_all(slots.len())\n}}\n"
+            );
+            assert_eq!(
+                rules_hit(&run("crates/vmcore/src/parallel.rs", &held)),
+                vec!["lock-discipline"],
+                "{init}"
+            );
+        }
+    }
+
+    #[test]
+    fn sampling_gate_is_in_arith_scope() {
+        // A sampled grid evaluates the gate during any cold battery
+        // build a warm/predict request triggers, and its verdict is
+        // persisted in the grid cache's header.
         assert_eq!(
-            rules_hit(&run("crates/harness/src/sampled.rs", hashy)),
-            vec!["determinism"]
-        );
-        // ...and a sampled grid evaluates the gate during any cold
-        // battery build a warm/predict request triggers, so an unwrap
-        // there kills a worker.
-        let panicky = "fn f(v: &[u8]) -> u8 { v.first().copied().unwrap() }\n";
-        assert_eq!(
-            rules_hit(&run("crates/harness/src/sampled.rs", panicky)),
-            vec!["panic-surface"]
+            rules_hit(&run("crates/harness/src/sampled.rs", OVERFLOWING)),
+            vec!["arith-safety"]
         );
     }
 
     #[test]
-    fn recommend_crate_is_in_both_determinism_and_panic_surface_scope() {
-        // Two servers must return byte-identical recommendations, so
-        // entropy draws are nondeterminism inside the engine...
-        let entropic = "fn seed() -> u64 { thread_rng() }\n";
-        assert_eq!(
-            rules_hit(&run("crates/recommend/src/explore.rs", entropic)),
-            vec!["determinism"]
-        );
-        // ...and the engine runs inside the `recommend` verb's worker
-        // thread, so panics there kill a worker.
-        let panicky = "fn f(v: &[u8]) -> u8 { v[0] }\n";
-        assert_eq!(
-            rules_hit(&run("crates/recommend/src/engine.rs", panicky)),
-            vec!["panic-surface"]
-        );
+    fn recommend_crate_is_in_arith_scope() {
+        // The engine runs inside the `recommend` verb's worker thread.
+        for path in [
+            "crates/recommend/src/explore.rs",
+            "crates/recommend/src/engine.rs",
+        ] {
+            assert_eq!(
+                rules_hit(&run(path, OVERFLOWING)),
+                vec!["arith-safety"],
+                "{path}"
+            );
+        }
     }
 
     #[test]
     fn tracer_and_exposition_modules_are_on_the_request_path() {
-        let panicky = "fn f(v: &[u8]) -> u8 { v[0] }\n";
         for path in [
             "crates/service/src/trace.rs",
             "crates/service/src/prom.rs",
             "crates/service/src/metrics.rs",
         ] {
             assert_eq!(
-                rules_hit(&run(path, panicky)),
-                vec!["panic-surface"],
+                rules_hit(&run(path, OVERFLOWING)),
+                vec!["arith-safety"],
                 "{path}"
             );
         }
-        // The request path is panic-scoped, not determinism-scoped: the
-        // wall-clock domain legitimately reads `Instant::now()` there.
+        // The wall-clock domain legitimately reads `Instant::now()`
+        // there; the clock ban is clippy's, waived at each such site.
         let clocky = "fn stamp() -> Instant { Instant::now() }\n";
         assert_eq!(run("crates/service/src/trace.rs", clocky), vec![]);
     }
 
     #[test]
     fn test_code_is_exempt_everywhere() {
-        let src =
-            "fn real() {}\n#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n    \
-                   #[test]\n    fn t() { x.unwrap(); v[0]; }\n}\n";
-        assert_eq!(run("crates/memsim/src/lib.rs", src), vec![]);
-        assert_eq!(run("crates/service/src/server.rs", src), vec![]);
+        let body = "fn helper(m: &M, len: u64) -> u32 {\n    \
+                    let g = m.inner.lock();\n    fit_all(g);\n    len as u32\n}\n";
+        let src = format!("fn real() {{}}\n#[cfg(test)]\nmod tests {{\n{body}}}\n");
+        for path in ["crates/obs/src/lib.rs", "crates/service/src/server.rs"] {
+            assert_eq!(run(path, &src), vec![], "{path}");
+            // The same helper outside the test module is a finding.
+            assert_eq!(
+                rules_hit(&run(path, body)),
+                vec!["lock-discipline", "arith-safety"],
+                "{path}"
+            );
+        }
     }
 }

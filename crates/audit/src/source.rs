@@ -300,7 +300,7 @@ fn scan_item_end(tokens: &[Token<'_>], start: usize) -> usize {
 mod tests {
     use super::*;
 
-    const RULES: [&str; 2] = ["determinism", "panic-surface"];
+    const RULES: [&str; 2] = ["lock-discipline", "arith-safety"];
 
     fn view<'a>(text: &'a str) -> FileView<'a> {
         FileView::new("crates/x/src/lib.rs", text, &RULES)
@@ -353,12 +353,12 @@ mod tests {
 
     #[test]
     fn suppressions_parse_and_match_next_line() {
-        let src = "// audit:allow(determinism) memo map is write-only\nlet m = HashMap::new();\n";
+        let src = "// audit:allow(lock-discipline) startup only\nlet m = fit_all(guard);\n";
         let v = view(src);
         assert_eq!(v.suppression_errors, vec![]);
         assert_eq!(v.suppressions.len(), 1);
         let d = Diagnostic {
-            rule: "determinism",
+            rule: "lock-discipline",
             path: v.path.clone(),
             line: 2,
             col: 9,
@@ -366,7 +366,7 @@ mod tests {
         };
         assert!(v.is_suppressed(&d));
         let other = Diagnostic {
-            rule: "panic-surface",
+            rule: "arith-safety",
             ..d.clone()
         };
         assert!(!v.is_suppressed(&other));
@@ -376,7 +376,7 @@ mod tests {
 
     #[test]
     fn reasonless_and_unknown_suppressions_are_rejected() {
-        let v = view("// audit:allow(determinism)\n// audit:allow(frobnicate) because\n");
+        let v = view("// audit:allow(lock-discipline)\n// audit:allow(frobnicate) because\n");
         assert_eq!(v.suppressions, vec![]);
         assert_eq!(v.suppression_errors.len(), 2);
         assert!(v.suppression_errors[0].message.contains("justification"));
@@ -385,7 +385,7 @@ mod tests {
 
     #[test]
     fn block_comment_suppression_strips_trailing_delimiter() {
-        let v = view("/* audit:allow(determinism) snapshot ordering is canonicalized */\n");
+        let v = view("/* audit:allow(arith-safety) both factors are below 2^16 */\n");
         assert_eq!(v.suppression_errors, vec![]);
         assert_eq!(v.suppressions.len(), 1);
     }

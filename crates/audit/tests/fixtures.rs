@@ -3,7 +3,7 @@
 //! rule's justified `audit:allow` waiver) must audit clean, and the
 //! engine must never panic on arbitrary input.
 //!
-//! The fixture trees mirror real workspace paths (`crates/memsim/src/…`)
+//! The fixture trees mirror real workspace paths (`crates/service/src/…`)
 //! because the rules are path-scoped: auditing a fixture under its
 //! mirrored relative path exercises the same scope tables production
 //! runs use. Each tree also carries a `README.md` and the protocol/
@@ -71,19 +71,9 @@ fn findings(tree: &str) -> BTreeSet<(String, &'static str, usize)> {
 #[test]
 fn bad_fixtures_produce_exactly_the_expected_findings() {
     let expected: BTreeSet<(String, &'static str, usize)> = [
-        // Nondeterminism in a simulation crate.
-        ("crates/memsim/src/clock.rs", "determinism", 3),
-        ("crates/memsim/src/clock.rs", "determinism", 4),
-        ("crates/memsim/src/clock.rs", "determinism", 7),
-        ("crates/memsim/src/clock.rs", "determinism", 8),
-        ("crates/memsim/src/clock.rs", "determinism", 9),
         // An unterminated block: the semantic rules cannot reason past
         // it, so the imbalance itself is the finding.
-        ("crates/memsim/src/broken.rs", "block-structure", 3),
-        // Panics on the request path.
-        ("crates/service/src/server.rs", "panic-surface", 4),
-        ("crates/service/src/server.rs", "panic-surface", 5),
-        ("crates/service/src/server.rs", "panic-surface", 6),
+        ("crates/service/src/broken.rs", "block-structure", 3),
         // A guard live across a model fit, a lock-order inversion, and a
         // same-lock re-acquisition.
         ("crates/service/src/registry.rs", "lock-discipline", 5),
@@ -97,11 +87,6 @@ fn bad_fixtures_produce_exactly_the_expected_findings() {
         // The `frob` verb parses but shipped nowhere: four missing
         // matrix cells, all anchored at its parser arm.
         ("crates/service/src/protocol.rs", "wire-conformance", 7),
-        // Entropy then an indexing panic inside the recommendation
-        // engine, which sits in both the determinism and panic-surface
-        // scopes.
-        ("crates/recommend/src/explore.rs", "determinism", 4),
-        ("crates/recommend/src/explore.rs", "panic-surface", 5),
         // Lossy floats in a codec module: the module-level "no bit-exact
         // codec referenced" finding plus the `{v:.6}` format spec.
         ("crates/mosmodel/src/persist.rs", "bit-exactness", 6),
@@ -110,10 +95,10 @@ fn bad_fixtures_produce_exactly_the_expected_findings() {
         ("crates/harness/src/experiment.rs", "version-header", 3),
         // Suppression misuse: no reason, unknown rule — and neither
         // malformed waiver silences its line's real finding.
-        ("crates/vmcore/src/lib.rs", "suppression", 1),
-        ("crates/vmcore/src/lib.rs", "determinism", 2),
-        ("crates/vmcore/src/lib.rs", "suppression", 3),
-        ("crates/vmcore/src/lib.rs", "determinism", 4),
+        ("crates/vmcore/src/parallel.rs", "suppression", 1),
+        ("crates/vmcore/src/parallel.rs", "arith-safety", 2),
+        ("crates/vmcore/src/parallel.rs", "suppression", 3),
+        ("crates/vmcore/src/parallel.rs", "arith-safety", 4),
     ]
     .into_iter()
     .map(|(p, r, l)| (p.to_string(), r, l))
@@ -139,7 +124,7 @@ fn bad_fixtures_produce_exactly_the_expected_findings() {
 /// `mosaic audit --root crates/audit/tests/fixtures/bad --deny` and
 /// greps the report footer for this number, so the two must move
 /// together.
-const BAD_TREE_TOTAL: usize = 29;
+const BAD_TREE_TOTAL: usize = 19;
 
 #[test]
 fn bad_tree_workspace_audit_reports_the_pinned_total() {
@@ -321,7 +306,7 @@ proptest! {
         bytes in prop::collection::vec(any::<u8>(), 0..512),
     ) {
         let text = String::from_utf8_lossy(&bytes);
-        let path = "crates/memsim/src/fuzz.rs";
+        let path = "crates/service/src/fuzz.rs";
         let view = FileView::new(path, &text, &RULE_IDS);
         let tree = &view.blocks;
         prop_assert_eq!(tree.enclosing.len(), view.code.len());

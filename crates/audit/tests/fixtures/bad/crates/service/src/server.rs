@@ -1,10 +1,4 @@
-//! Fixture: panics on the mosaicd request path.
-
-pub fn handle(line: &str, parts: &[&str]) -> String {
-    let first = parts.first().unwrap();
-    if line.is_empty() { panic!("empty") }
-    parts[1].to_string()
-}
+//! Fixture: the server dispatches only the shipped verb.
 
 pub fn dispatch(req: &str) -> bool {
     req == "predict"

@@ -1,14 +1,4 @@
-//! Fixture: a panic-free request path with one justified waiver.
-
-pub fn reply(parts: &[&str]) -> String {
-    match parts.first() {
-        Some(verb) => {
-            // audit:allow(panic-surface) index 0 is the verb just matched; cannot be out of bounds
-            parts[0].len().to_string() + verb
-        }
-        None => "err empty".to_string(),
-    }
-}
+//! Fixture: the server half of the shipped verb.
 
 pub fn dispatch(req: &str) -> bool {
     req == "predict"

@@ -8,6 +8,10 @@
 //! — the same bit-exactness contract as the grid cache and the model
 //! store.
 
+// A report must be a pure function of the measured numbers: no clock
+// reads or hashed collections, whatever the crate allows.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use std::fmt::Write as _;
 
 use mosmodel::persist::{fmt_f64_shortest, parse_f64_shortest};

@@ -9,6 +9,14 @@
 //! only the first bench invocation pays for simulation; set
 //! `MOSAIC_FAST=1` for a quick low-fidelity pass.
 
+// The wall-clock ban of `crates/clippy.toml` does not apply to a crate
+// whose job is timing; `codec` denies it again for the report format.
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "measures wall time"
+)]
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;

@@ -9,6 +9,11 @@
 //! MOSAIC_FAST=1 cargo run --release -p harness --example calibrate [workload-filter]
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "prints how long each battery took to build; no counter depends on it"
+)]
+
 use harness::{Grid, Speed};
 use machine::Platform;
 use mosmodel::LayoutKind;

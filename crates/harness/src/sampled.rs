@@ -20,6 +20,20 @@
 //! counters, so the gate itself is trivially deterministic and
 //! panic-free — it runs inside cold `warm`/`recommend` requests.
 
+// Panicking shortcuts would kill the mosaicd worker running the gate.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use vmcore::PmuCounters;
 
 /// How a grid entry's records were measured. Persisted in the

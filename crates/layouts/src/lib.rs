@@ -246,7 +246,7 @@ mod tests {
     fn random_windows_are_valid_and_diverse() {
         let battery = random_window(pool(), 8, 42);
         assert_eq!(battery.len(), 9);
-        let coverages: std::collections::HashSet<u64> = battery
+        let coverages: std::collections::BTreeSet<u64> = battery
             .iter()
             .map(|l| l.bytes_backed_by(PageSize::Huge2M))
             .collect();
@@ -326,7 +326,7 @@ mod tests {
         // many distinct 2MB coverage values.
         let hot = Region::new(pool().start() + 800 * MIB, 128 * MIB);
         let battery = standard_battery(pool(), |_| hot);
-        let coverages: std::collections::HashSet<u64> = battery
+        let coverages: std::collections::BTreeSet<u64> = battery
             .iter()
             .map(|p| p.layout.bytes_backed_by(PageSize::Huge2M))
             .collect();

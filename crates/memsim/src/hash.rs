@@ -36,7 +36,7 @@ mod tests {
     fn spreads_low_bits() {
         // Consecutive inputs should land in different cache sets: check the
         // low 10 bits take many distinct values over 1024 consecutive inputs.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..1024u64 {
             seen.insert(splitmix64(i) & 0x3ff);
         }

@@ -1,6 +1,6 @@
 //! Property tests for the memory-subsystem simulator.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use memsim::{
     CacheGeometry, CacheTag, MemorySubsystem, Platform, PwcGeometry, SetAssocCache, Translation,
@@ -14,7 +14,7 @@ struct RefCacheModel {
     sets: u64,
     ways: usize,
     /// Per set: its resident tags, most recently used last.
-    state: HashMap<u64, Vec<u64>>,
+    state: BTreeMap<u64, Vec<u64>>,
 }
 
 impl RefCacheModel {
@@ -22,7 +22,7 @@ impl RefCacheModel {
         RefCacheModel {
             sets: u64::from(geometry.sets()),
             ways: geometry.ways as usize,
-            state: HashMap::new(),
+            state: BTreeMap::new(),
         }
     }
 

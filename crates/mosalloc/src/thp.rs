@@ -8,7 +8,7 @@
 //! can compare explicit Mosalloc mosaics against transparent promotion —
 //! see `examples/thp_comparison.rs`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use vmcore::{PageSize, Region, VirtAddr};
 
@@ -41,8 +41,8 @@ pub const PROMOTION_CYCLES: u64 = (2 << 20) / 64 * 4 + 20_000;
 pub struct Thp {
     region: Region,
     threshold: u32,
-    touches: HashMap<u64, u32>,
-    promoted: HashSet<u64>,
+    touches: BTreeMap<u64, u32>,
+    promoted: BTreeSet<u64>,
 }
 
 impl Thp {
@@ -58,8 +58,8 @@ impl Thp {
         Thp {
             region,
             threshold,
-            touches: HashMap::new(),
-            promoted: HashSet::new(),
+            touches: BTreeMap::new(),
+            promoted: BTreeSet::new(),
         }
     }
 

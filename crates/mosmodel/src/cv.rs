@@ -5,6 +5,21 @@
 //! reported statistic is the **maximal** relative error across all test
 //! folds, matching Table 6's "maximal cross validation errors".
 
+// K-fold CV runs on the `recommend` worker's thread, where a panic kills
+// the worker: panicking shortcuts are banned here.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use vmcore::parallel::{parallel_map, resolve_jobs};
 
 use crate::metrics::max_err;

@@ -88,7 +88,15 @@
 // production code; tests may still assert with unwrap/expect/indexing.
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
 )]
 
 pub mod cache;

@@ -357,8 +357,11 @@ impl ModelRegistry {
         // panics. Debug builds only; release registries treat the name
         // as an unknown workload.
         #[cfg(debug_assertions)]
+        #[expect(
+            clippy::panic,
+            reason = "deliberate fault injection, compiled out of release; the latch-release test depends on it"
+        )]
         if workload == "inject-fit-panic" {
-            // audit:allow(panic-surface) deliberate fault injection, compiled out of release; the latch-release test depends on it
             panic!("injected fit panic (requested by the singleflight regression test)");
         }
         let ctx = MeasureContext::new(self.grid.speed(), workload)

@@ -605,6 +605,10 @@ fn service_readable(conn: &mut Conn, shared: &Shared) {
 /// partial lines, enforce the [`MAX_REQUEST_BYTES`] bound (answer
 /// `err request too long` once, then discard to the next newline), and
 /// dispatch every complete request in the chunk.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "stamps a request's first byte for its wall-domain latency; never reaches a reply"
+)]
 fn ingest_bytes(conn: &mut Conn, mut bytes: &[u8], shared: &Shared) {
     while !bytes.is_empty() {
         if conn.request_started.is_none() && !conn.discarding {
@@ -658,6 +662,10 @@ fn reject_overlong(conn: &mut Conn, shared: &Shared) {
 /// Dispatches one complete request line: trace, handle, record, queue
 /// the reply.
 fn dispatch_line(conn: &mut Conn, shared: &Shared) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "handling latency is wall time by definition; it feeds metrics and traces, never a reply"
+    )]
     let started = Instant::now();
     let epoch = conn.request_started.take().unwrap_or(started);
     let mut tracer = RequestTrace::new(TRACE_SPAN_CAPACITY, epoch);
@@ -798,8 +806,11 @@ fn handle_line(
     // to prove a worker survives a handler panic is to panic in a
     // handler. Servers not configured for it treat the verb as an
     // unknown command.
+    #[expect(
+        clippy::panic,
+        reason = "deliberate fault injection, off unless ServerConfig::inject_panic is set; the shield test depends on it"
+    )]
     if shared.inject_panic && line == "inject-panic" {
-        // audit:allow(panic-surface) deliberate fault injection, off unless ServerConfig::inject_panic is set; the shield test depends on it
         panic!("injected worker panic (requested by the shield regression test)");
     }
     let parse_start = tracer.now_us();

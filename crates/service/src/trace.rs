@@ -1,11 +1,12 @@
 //! Per-request tracing glue: the wall clock lives here, not in `obs`.
 //!
-//! The `obs` crate is clock-free by design (it sits inside the audit
-//! determinism scope); this module is the one place in the request path
-//! that reads `Instant` and turns it into span ticks. Each request gets a
-//! [`RequestTrace`]: a wall-domain recorder (microseconds since the first
-//! byte of the request line arrived) and a sim-domain recorder that the
-//! partial simulation fills with simulated-cycle spans.
+//! The `obs` crate is clock-free by design (the clock ban in
+//! `crates/clippy.toml` holds there unwaived); this module turns the
+//! request path's `Instant` readings into span ticks (`server.rs`
+//! stamps each request's start). Each request gets a [`RequestTrace`]:
+//! a wall-domain recorder (microseconds since the first byte of the
+//! request line arrived) and a sim-domain recorder that the partial
+//! simulation fills with simulated-cycle spans.
 
 use std::time::Instant;
 
@@ -36,6 +37,10 @@ impl RequestTrace {
 
     /// A zero-capacity tracer for untraced calls: records nothing, so
     /// the traced and untraced code paths stay identical.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the epoch of a tracer that records nothing; no reading is ever taken from it"
+    )]
     pub(crate) fn disabled() -> RequestTrace {
         RequestTrace::new(0, Instant::now())
     }
@@ -65,6 +70,10 @@ mod tests {
     use super::*;
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-domain spans are measured against a real clock"
+    )]
     fn wall_spans_are_monotonic_and_bounded() {
         let mut t = RequestTrace::new(2, Instant::now());
         let start = t.now_us();

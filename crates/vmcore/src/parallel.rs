@@ -26,6 +26,21 @@
 //! compute, such as a grid battery or a registry fit: concurrent
 //! callers for one cold key share a single run.
 
+// Cold fits and `recommend` run the fan-out on mosaicd worker threads,
+// where a panic kills the worker: panicking shortcuts are banned here.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};

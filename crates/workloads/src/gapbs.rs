@@ -237,7 +237,7 @@ mod tests {
         let distinct_pages = |graph| {
             GapbsTrace::new(Kernel::Bfs, graph, &p)
                 .map(|a| a.addr.raw() >> 12)
-                .collect::<std::collections::HashSet<_>>()
+                .collect::<std::collections::BTreeSet<_>>()
                 .len()
         };
         let road = distinct_pages(GraphKind::Road);

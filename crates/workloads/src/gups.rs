@@ -94,7 +94,7 @@ mod tests {
         // Uniform randomness: 10k accesses over 64MB should touch
         // thousands of distinct 4KB pages.
         let p = params();
-        let pages: std::collections::HashSet<u64> =
+        let pages: std::collections::BTreeSet<u64> =
             GupsTrace::new(&p).map(|a| a.addr.raw() >> 12).collect();
         assert!(pages.len() > 3000, "only {} distinct pages", pages.len());
     }

@@ -144,10 +144,10 @@ mod tests {
         // relocations for the coverage gap to dominate sampling noise;
         // at 10k accesses the margin is within noise for some RNG
         // streams, at 40k it is robust across seeds.
-        let blind_set: std::collections::HashSet<u64> = blind(trace(40_000), 0, 4_000)
+        let blind_set: std::collections::BTreeSet<u64> = blind(trace(40_000), 0, 4_000)
             .map(|a| a.addr.raw())
             .collect();
-        let window_set: std::collections::HashSet<u64> = windows(trace(40_000), 400, 4_000)
+        let window_set: std::collections::BTreeSet<u64> = windows(trace(40_000), 400, 4_000)
             .map(|a| a.addr.raw())
             .collect();
         // mcf relocates its working block over time: periodic windows see

@@ -319,7 +319,7 @@ mod tests {
     fn xalancbmk_has_strong_reuse() {
         let p = params(64 * MIB);
         let v: Vec<_> = XalancbmkTrace::new(&p).collect();
-        let distinct: std::collections::HashSet<u64> =
+        let distinct: std::collections::BTreeSet<u64> =
             v.iter().map(|a| a.addr.raw() / NODE_BYTES).collect();
         // Far fewer distinct nodes than accesses: temporal reuse.
         assert!(

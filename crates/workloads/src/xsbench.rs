@@ -161,7 +161,7 @@ mod tests {
     #[test]
     fn spreads_over_many_pages() {
         let p = params();
-        let pages: std::collections::HashSet<u64> =
+        let pages: std::collections::BTreeSet<u64> =
             XsBenchTrace::new(&p).map(|a| a.addr.raw() >> 12).collect();
         assert!(pages.len() > 1500, "{} pages", pages.len());
     }
