@@ -172,7 +172,7 @@ fn bench_walk_path(c: &mut Criterion) {
         b.iter(|| {
             page += 513; // skip PT-node sharing
             let va = VirtAddr::new(page << 12);
-            match vm.translate(va, PageSize::Base4K).translation {
+            match vm.translate(va, PageSize::Base4K) {
                 Translation::Walk { info } => black_box(info.cycles),
                 _ => 0,
             }

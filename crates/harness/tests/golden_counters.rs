@@ -93,8 +93,8 @@ fn fast_preset_counters_are_byte_identical_to_golden() {
 #[test]
 fn fast_preset_nested_paging_counters_are_byte_identical_to_golden() {
     // Virtualized variant (guest backed by 4KB host pages): pins the 2D
-    // walk path *and* the TranslationMemo bypass that virtualization takes
-    // through the memory subsystem, bit-for-bit.
+    // walk path and the composed guest-host data addresses that
+    // virtualization takes through the memory subsystem, bit-for-bit.
     let (counters, cv_r) = measure_with_config(
         Speed::FAST,
         EngineConfig {

@@ -174,10 +174,9 @@ impl Engine {
         self.headroom = (self.headroom + base * HEADROOM_SUPPLY).min(self.headroom_cap);
 
         // One fused trip through the simulator: translation plus the data
-        // reference. The subsystem resolves both against the same memoized
-        // page entry, and the engine-local timing math below needs only
-        // the outcome fields (the EMA and stall accounting between the
-        // two halves never touched `vm`, so fusing them is
+        // reference. The engine-local timing math below needs only the
+        // outcome fields (the EMA and stall accounting between the two
+        // halves never touched `vm`, so fusing them is
         // counter-invisible).
         let size = page_size_at(access.addr);
         let outcome = self.vm.access(access.addr, size);

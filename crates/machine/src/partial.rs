@@ -76,7 +76,7 @@ where
     let mut out = PartialSimOutput::default();
     for access in trace {
         let size = page_size_at(access.addr);
-        match vm.translate(access.addr, size).translation {
+        match vm.translate(access.addr, size) {
             Translation::L1Hit => {}
             Translation::StlbHit { .. } => out.stlb_hits += 1,
             Translation::Walk { info } => {

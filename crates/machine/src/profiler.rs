@@ -99,7 +99,7 @@ where
     let mut counts = vec![0u64; chunks];
     let mut vm = MemorySubsystem::new(platform);
     for access in trace {
-        if let Translation::Walk { .. } = vm.translate(access.addr, PageSize::Base4K).translation {
+        if let Translation::Walk { .. } = vm.translate(access.addr, PageSize::Base4K) {
             let off = access.addr.raw().saturating_sub(arena.start().raw());
             let idx = ((off / chunk_bytes) as usize).min(chunks - 1);
             counts[idx] += 1;

@@ -141,35 +141,13 @@ impl<T: CacheTag> SetAssocCache<T> {
     /// Returns whether the lookup hit.
     #[inline]
     pub fn access(&mut self, tag: T) -> bool {
-        self.access_locating(tag).0
-    }
-
-    /// Like [`SetAssocCache::access`], but also returns the global slot
-    /// index of `tag`'s set's first way, which holds `tag` after the call.
-    /// It keeps holding it until another tag of the set is touched, which
-    /// callers detect by re-checking with [`SetAssocCache::hit_at`].
-    #[inline]
-    pub fn access_locating(&mut self, tag: T) -> (bool, u32) {
-        let (hit, slot) = self.touch(tag);
+        let hit = self.touch(tag);
         if hit {
             self.hits += 1;
         } else {
             self.misses += 1;
         }
-        (hit, slot)
-    }
-
-    /// O(1) re-lookup through a slot previously returned by
-    /// [`SetAssocCache::access_locating`]. If `slot` still holds `tag`,
-    /// `tag` is its set's most recently used way, so a hitting
-    /// [`SetAssocCache::access`] would change nothing but the hit count:
-    /// this counts the hit and returns `true`. Otherwise the cache is
-    /// untouched and the caller must fall back to the full lookup.
-    #[inline]
-    pub fn hit_at(&mut self, slot: u32, tag: T) -> bool {
-        let resident = self.lines.get(slot as usize) == Some(&tag.stored());
-        self.hits += u64::from(resident);
-        resident
+        hit
     }
 
     /// Looks up `tag` without inserting on miss. Does not update stats.
@@ -221,13 +199,13 @@ impl<T: CacheTag> SetAssocCache<T> {
     /// Core lookup: moves `tag` to the front of its set. A hit at way `i`
     /// shifts ways `0..i` back by one; a miss shifts the whole set back,
     /// dropping its last way, which is the LRU tag or an empty way.
-    /// Returns hit status and the global slot of the set's first way.
+    /// Returns hit status.
     ///
     /// The scan stops at the first match. In recency order hits cluster
     /// at the front and misses always run to the end, so the exit
     /// branch predicts well.
     #[inline]
-    fn touch(&mut self, tag: T) -> (bool, u32) {
+    fn touch(&mut self, tag: T) -> bool {
         let stored = tag.stored();
         let start = self.set_start(tag);
         let set = &mut self.lines[start..start + self.ways];
@@ -235,11 +213,11 @@ impl<T: CacheTag> SetAssocCache<T> {
         for way in set.iter_mut() {
             let held = std::mem::replace(way, carry);
             if held == stored {
-                return (true, start as u32);
+                return true;
             }
             carry = held;
         }
-        (false, start as u32)
+        false
     }
 }
 
@@ -335,76 +313,6 @@ mod tests {
         assert_eq!(c.occupancy(), 0);
         assert_eq!(c.hits(), 1);
         assert!(!c.probe(1));
-    }
-
-    #[test]
-    fn hit_at_is_equivalent_to_a_hitting_access() {
-        // Drive two identical caches through the same sequence, one via
-        // plain access, one via the slot fast path, and require the full
-        // observable state (probe results, stats, later evictions) to
-        // match exactly.
-        let geometry = CacheGeometry::new(8, 2);
-        let mut plain = SetAssocCache::<u64>::new(geometry);
-        let mut fast = SetAssocCache::<u64>::new(geometry);
-        let tags = [3u64, 7, 3, 11, 3, 15, 19, 3, 7, 23, 3];
-        let mut last_slot: Option<(u64, u32)> = None;
-        for &tag in &tags {
-            let want = plain.access(tag);
-            let got = match last_slot {
-                Some((memo_tag, slot)) if memo_tag == tag && fast.hit_at(slot, tag) => {
-                    // The fast path only fires on a re-hit; remember the
-                    // slot unchanged.
-                    true
-                }
-                _ => {
-                    let (hit, slot) = fast.access_locating(tag);
-                    last_slot = Some((tag, slot));
-                    hit
-                }
-            };
-            assert_eq!(got, want, "divergence at tag {tag}");
-        }
-        assert_eq!(plain.hits(), fast.hits());
-        assert_eq!(plain.misses(), fast.misses());
-        for tag in [3u64, 7, 11, 15, 19, 23] {
-            assert_eq!(plain.probe(tag), fast.probe(tag), "residency of {tag}");
-        }
-    }
-
-    #[test]
-    fn hit_at_rejects_stale_slot() {
-        let mut c = SetAssocCache::<u64>::new(CacheGeometry::full(2));
-        let (_, slot) = c.access_locating(1);
-        c.access(2);
-        c.access(3); // evicts 1 (the LRU)
-        assert!(!c.probe(1));
-        let hits_before = c.hits();
-        assert!(!c.hit_at(slot, 1), "stale slot must not fake a hit");
-        assert_eq!(c.hits(), hits_before, "stale hit_at must not touch stats");
-    }
-
-    #[test]
-    fn hit_at_rejects_a_tag_that_is_no_longer_most_recent() {
-        // 1 stays resident but 2 takes the set's first way: only the full
-        // lookup may hit 1, since that hit reorders the set.
-        let mut c = SetAssocCache::<u64>::new(CacheGeometry::full(2));
-        let (_, slot) = c.access_locating(1);
-        c.access(2);
-        assert!(c.probe(1));
-        assert!(!c.hit_at(slot, 1));
-        assert_eq!(c.hits(), 0);
-        assert!(c.access(1));
-        assert!(c.hit_at(slot, 1));
-        assert_eq!(c.hits(), 2);
-    }
-
-    #[test]
-    fn hit_at_rejects_a_flushed_slot() {
-        let mut c = SetAssocCache::<u32>::new(CacheGeometry::full(2));
-        let (_, slot) = c.access_locating(0);
-        c.flush();
-        assert!(!c.hit_at(slot, 0), "an invalid way must not hit tag 0");
-        assert_eq!(c.hits(), 0);
     }
 
     #[test]

@@ -30,10 +30,10 @@
 //! let va = VirtAddr::new(0x1000_2000);
 //! // Cold access: misses both TLB levels and walks the page table.
 //! let first = vm.translate(va, PageSize::Base4K);
-//! assert!(matches!(first.translation, Translation::Walk { .. }));
+//! assert!(matches!(first, Translation::Walk { .. }));
 //! // Warm access: L1 TLB hit.
 //! let second = vm.translate(va, PageSize::Base4K);
-//! assert!(matches!(second.translation, Translation::L1Hit));
+//! assert!(matches!(second, Translation::L1Hit));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,5 +56,5 @@ pub use nested::{NestedWalkInfo, NestedWalker};
 pub use pagetable::{Level, PageTable, WalkPath};
 pub use platform::{CacheLatencies, Microarch, Platform, PwcGeometry, StlbGeometry, TlbGeometry};
 pub use pwc::{PwcLevel, WalkCaches};
-pub use subsystem::{AccessOutcome, MemorySubsystem, Translation, TranslationOutcome, WalkInfo};
+pub use subsystem::{AccessOutcome, MemorySubsystem, Translation, WalkInfo};
 pub use tlb::{Stlb, Tlb};

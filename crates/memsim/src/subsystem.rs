@@ -1,97 +1,9 @@
 //! The assembled virtual-memory subsystem: TLBs + walk caches + page table
 //! + walker + memory hierarchy.
 
-use vmcore::{PageSize, PhysAddr, VirtAddr};
+use vmcore::{PageSize, VirtAddr};
 
 use crate::{HitLevel, MemoryHierarchy, NestedWalker, PageTable, Platform, Stlb, Tlb, WalkCaches};
-
-/// Entries in the translation memo. Must be a power of two.
-const MEMO_ENTRIES: usize = 16;
-
-/// Empty-key sentinel. No real key collides with it: key bits 56..=59
-/// are always zero (the VPN is masked to 56 bits and the size tag sits
-/// at bit 60).
-const MEMO_EMPTY_KEY: u64 = u64::MAX;
-
-/// A direct-mapped memo of recently resolved `(vpn, page size)`
-/// translations, sitting in front of the full TLB/walk dispatch.
-///
-/// The memo is **counter-invisible** by construction:
-///
-/// * The memoized slot is the first way of the page's L1 TLB set, which
-///   holds the set's most recently used translation. A memo hit is
-///   honoured only if that way still holds the page's translation
-///   ([`Tlb::hit_at`]). A hitting [`Tlb::access`] would then leave the
-///   set's order as it is and only count the hit, which is all `hit_at`
-///   does. Any other touch of the set moves the page out of that way, so
-///   memo entries go stale implicitly; no explicit invalidation protocol
-///   can be missed.
-/// * The memoized physical page base caches [`PageTable::translate`],
-///   which is a pure function of `(vpn, size)` for a fixed salt — the
-///   salt never changes after construction, so the cached base can never
-///   go stale.
-/// * Under virtualization ([`MemorySubsystem::virtualized`]) the memo is
-///   bypassed entirely: nested walks keep their own MMU-cache state.
-#[derive(Clone, Debug)]
-struct TranslationMemo {
-    keys: [u64; MEMO_ENTRIES],
-    /// L1 TLB slot that held the translation when it was memoized.
-    slots: [u32; MEMO_ENTRIES],
-    /// Size-aligned physical page base from [`PageTable::translate`].
-    phys_base: [u64; MEMO_ENTRIES],
-}
-
-impl TranslationMemo {
-    fn new() -> Self {
-        TranslationMemo {
-            keys: [MEMO_EMPTY_KEY; MEMO_ENTRIES],
-            slots: [0; MEMO_ENTRIES],
-            phys_base: [0; MEMO_ENTRIES],
-        }
-    }
-
-    /// Packs `(vpn, size)` into one tag, mirroring the STLB's shared-tag
-    /// scheme: the size tag lands in bits the (≤ 48-bit-VA) VPN cannot
-    /// reach, so distinct page sizes never alias.
-    #[inline]
-    fn key(va: VirtAddr, size: PageSize) -> u64 {
-        let size_bits: u64 = match size {
-            PageSize::Base4K => 0,
-            PageSize::Huge2M => 1,
-            PageSize::Huge1G => 2,
-        };
-        (va.page_number(size) & 0x00ff_ffff_ffff_ffff) | (size_bits << 60)
-    }
-
-    /// Direct-mapped index: low VPN bits folded with the size tag.
-    #[inline]
-    fn index(key: u64) -> usize {
-        ((key ^ (key >> 60)) as usize) & (MEMO_ENTRIES - 1)
-    }
-
-    #[inline]
-    fn lookup(&self, key: u64) -> Option<(u32, u64)> {
-        let i = Self::index(key);
-        (self.keys[i] == key).then(|| (self.slots[i], self.phys_base[i]))
-    }
-
-    #[inline]
-    fn store(&mut self, key: u64, slot: u32, phys_base: u64) {
-        let i = Self::index(key);
-        self.keys[i] = key;
-        self.slots[i] = slot;
-        self.phys_base[i] = phys_base;
-    }
-
-    /// Drops `key`'s entry (used when its TLB slot turned out stale).
-    #[inline]
-    fn evict(&mut self, key: u64) {
-        let i = Self::index(key);
-        if self.keys[i] == key {
-            self.keys[i] = MEMO_EMPTY_KEY;
-        }
-    }
-}
 
 /// How one translation was resolved.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -166,8 +78,6 @@ pub struct MemorySubsystem {
     prefetch: bool,
     /// Prefetches issued (for design-study diagnostics).
     prefetches: u64,
-    /// Counter-invisible fast path for repeated same-page translations.
-    memo: TranslationMemo,
 }
 
 impl MemorySubsystem {
@@ -203,7 +113,6 @@ impl MemorySubsystem {
             nested: None,
             prefetch: platform.tlb_prefetch,
             prefetches: 0,
-            memo: TranslationMemo::new(),
         }
     }
 
@@ -224,54 +133,15 @@ impl MemorySubsystem {
     /// Translates `va` (mapped with `size` pages), exercising the TLBs and
     /// — on a full miss — the walk caches, page table and memory
     /// hierarchy. Walker references pollute the data caches.
-    ///
-    /// Repeated same-page translations short-circuit through a
-    /// one-entry translation memo; the observable simulation state (every
-    /// counter, every set's LRU order) is identical either way.
     #[inline]
-    pub fn translate(&mut self, va: VirtAddr, size: PageSize) -> TranslationOutcome {
-        if self.nested.is_none() {
-            let key = TranslationMemo::key(va, size);
-            if let Some((slot, _)) = self.memo.lookup(key) {
-                let vpn = va.page_number(size);
-                let l1 = match size {
-                    PageSize::Base4K => &mut self.l1_4k,
-                    PageSize::Huge2M => &mut self.l1_2m,
-                    PageSize::Huge1G => &mut self.l1_1g,
-                };
-                if l1.hit_at(slot, vpn) {
-                    return TranslationOutcome {
-                        translation: Translation::L1Hit,
-                    };
-                }
-                // The TLB replaced that slot since the memo was filled;
-                // forget the entry and resolve through the full path.
-                self.memo.evict(key);
-            }
-        }
-        self.translate_full(va, size)
-    }
-
-    /// The full translation dispatch (everything below the memo).
-    fn translate_full(&mut self, va: VirtAddr, size: PageSize) -> TranslationOutcome {
+    pub fn translate(&mut self, va: VirtAddr, size: PageSize) -> Translation {
         let l1 = match size {
             PageSize::Base4K => &mut self.l1_4k,
             PageSize::Huge2M => &mut self.l1_2m,
             PageSize::Huge1G => &mut self.l1_1g,
         };
-        let (l1_hit, slot) = l1.access_locating(va);
-        if self.nested.is_none() {
-            // Whether this lookup hit or missed-and-filled, the page's
-            // translation now resides at `slot` — memoize it together
-            // with the (pure, salt-stable) physical page base.
-            let key = TranslationMemo::key(va, size);
-            let base = self.page_table.translate(va, size).raw() & !(size.bytes() - 1);
-            self.memo.store(key, slot, base);
-        }
-        if l1_hit {
-            return TranslationOutcome {
-                translation: Translation::L1Hit,
-            };
+        if l1.access(va) {
+            return Translation::L1Hit;
         }
         // An L1 miss: the hypothetical next-page prefetcher walks the
         // *next* page's translation in the background and installs it in
@@ -292,10 +162,8 @@ impl MemorySubsystem {
             }
         }
         if self.stlb.access(va, size) {
-            return TranslationOutcome {
-                translation: Translation::StlbHit {
-                    latency: self.stlb_latency,
-                },
+            return Translation::StlbHit {
+                latency: self.stlb_latency,
             };
         }
         // Full miss: walk. Under virtualization the nested walker takes
@@ -309,9 +177,7 @@ impl MemorySubsystem {
                 // walks; Table 7 experiments run native.
                 ..WalkInfo::default()
             };
-            return TranslationOutcome {
-                translation: Translation::Walk { info },
-            };
+            return Translation::Walk { info };
         }
         // The walk caches decide how many references the
         // walker issues; each reference goes through the hierarchy and the
@@ -333,9 +199,7 @@ impl MemorySubsystem {
                 HitLevel::Dram => info.refs_dram += 1,
             }
         }
-        TranslationOutcome {
-            translation: Translation::Walk { info },
-        }
+        Translation::Walk { info }
     }
 
     /// Performs the program's data reference for `va` (already
@@ -344,26 +208,17 @@ impl MemorySubsystem {
     pub fn data_access(&mut self, va: VirtAddr, size: PageSize) -> (HitLevel, u32) {
         let pa = match &self.nested {
             Some(nested) => nested.compose_translate(va, size),
-            None => {
-                // The memoized page base is PageTable::translate's (pure)
-                // result for this page, so composing it with the in-page
-                // offset is exactly the full translation.
-                let key = TranslationMemo::key(va, size);
-                match self.memo.lookup(key) {
-                    Some((_, base)) => PhysAddr::new(base | va.offset_in(size)),
-                    None => self.page_table.translate(va, size),
-                }
-            }
+            None => self.page_table.translate(va, size),
         };
         self.memory.access(pa, false)
     }
 
     /// Translate-then-load convenience wrapper.
     pub fn access(&mut self, va: VirtAddr, size: PageSize) -> AccessOutcome {
-        let t = self.translate(va, size);
+        let translation = self.translate(va, size);
         let (data_level, data_latency) = self.data_access(va, size);
         AccessOutcome {
-            translation: t.translation,
+            translation,
             data_level,
             data_latency,
         }
@@ -391,14 +246,6 @@ impl MemorySubsystem {
     }
 }
 
-/// A translation's outcome (wrapper so `translate` can grow fields without
-/// breaking callers).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TranslationOutcome {
-    /// How the translation was resolved.
-    pub translation: Translation,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,9 +255,9 @@ mod tests {
         let mut vm = MemorySubsystem::new(&Platform::HASWELL);
         let va = VirtAddr::new(0x1000_0000);
         let cold = vm.translate(va, PageSize::Base4K);
-        assert!(matches!(cold.translation, Translation::Walk { .. }));
+        assert!(matches!(cold, Translation::Walk { .. }));
         let warm = vm.translate(va, PageSize::Base4K);
-        assert!(matches!(warm.translation, Translation::L1Hit));
+        assert!(matches!(warm, Translation::L1Hit));
     }
 
     #[test]
@@ -428,17 +275,15 @@ mod tests {
         }
         let out = vm.translate(VirtAddr::new(0), PageSize::Base4K);
         assert!(
-            matches!(out.translation, Translation::StlbHit { latency: 7 }),
-            "expected STLB hit, got {:?}",
-            out.translation
+            matches!(out, Translation::StlbHit { latency: 7 }),
+            "expected STLB hit, got {out:?}"
         );
     }
 
     #[test]
     fn walk_latency_bounded_by_dram_refs() {
         let mut vm = MemorySubsystem::new(&Platform::SANDY_BRIDGE);
-        let out = vm.translate(VirtAddr::new(0x7f00_0000_0000), PageSize::Base4K);
-        match out.translation {
+        match vm.translate(VirtAddr::new(0x7f00_0000_0000), PageSize::Base4K) {
             Translation::Walk { info } => {
                 assert_eq!(info.refs, 4, "cold walk references all levels");
                 assert!(info.cycles >= 4 * 4, "at least L1 latency each");
@@ -459,8 +304,7 @@ mod tests {
         // Far enough to miss TLBs? No — consecutive page, misses L1? It
         // was never inserted. Use a page 100 pages away in the same 2MB
         // region, guaranteed TLB-cold but PDE-cached.
-        let out = vm.translate(VirtAddr::new(0x10_0006_4000), PageSize::Base4K);
-        match out.translation {
+        match vm.translate(VirtAddr::new(0x10_0006_4000), PageSize::Base4K) {
             Translation::Walk { info } => assert_eq!(info.refs, 1, "PDE cache skips 3 refs"),
             other => panic!("expected walk, got {other:?}"),
         }
@@ -469,8 +313,7 @@ mod tests {
     #[test]
     fn hugepages_walk_fewer_levels() {
         let mut vm = MemorySubsystem::new(&Platform::SANDY_BRIDGE);
-        let out = vm.translate(VirtAddr::new(0x40_0000_0000), PageSize::Huge1G);
-        match out.translation {
+        match vm.translate(VirtAddr::new(0x40_0000_0000), PageSize::Huge1G) {
             Translation::Walk { info } => assert!(info.refs <= 2),
             other => panic!("expected walk, got {other:?}"),
         }
@@ -485,7 +328,7 @@ mod tests {
             vm.translate(VirtAddr::new(i << 21), PageSize::Huge2M);
         }
         let out = vm.translate(VirtAddr::new(0), PageSize::Huge2M);
-        assert!(matches!(out.translation, Translation::Walk { .. }));
+        assert!(matches!(out, Translation::Walk { .. }));
         assert_eq!(vm.stlb().hits(), 0);
     }
 
@@ -516,10 +359,7 @@ mod tests {
         let mut walks = 0;
         let mut hits = 0;
         for i in 0..64u64 {
-            match vm
-                .translate(VirtAddr::new(0x4000_0000 + i * 4096), PageSize::Base4K)
-                .translation
-            {
+            match vm.translate(VirtAddr::new(0x4000_0000 + i * 4096), PageSize::Base4K) {
                 Translation::Walk { .. } => walks += 1,
                 Translation::StlbHit { .. } => hits += 1,
                 Translation::L1Hit => {}
@@ -535,9 +375,8 @@ mod tests {
         let mut base = MemorySubsystem::new(&Platform::SANDY_BRIDGE);
         let mut base_walks = 0;
         for i in 0..64u64 {
-            if let Translation::Walk { .. } = base
-                .translate(VirtAddr::new(0x4000_0000 + i * 4096), PageSize::Base4K)
-                .translation
+            if let Translation::Walk { .. } =
+                base.translate(VirtAddr::new(0x4000_0000 + i * 4096), PageSize::Base4K)
             {
                 base_walks += 1;
             }
@@ -551,11 +390,11 @@ mod tests {
         let mut virt = MemorySubsystem::virtualized(&Platform::SANDY_BRIDGE, PageSize::Base4K);
         assert!(virt.is_virtualized() && !native.is_virtualized());
         let va = VirtAddr::new(0x5000_0000);
-        let n = match native.translate(va, PageSize::Base4K).translation {
+        let n = match native.translate(va, PageSize::Base4K) {
             Translation::Walk { info } => info,
             other => panic!("expected walk, got {other:?}"),
         };
-        let v = match virt.translate(va, PageSize::Base4K).translation {
+        let v = match virt.translate(va, PageSize::Base4K) {
             Translation::Walk { info } => info,
             other => panic!("expected walk, got {other:?}"),
         };
@@ -566,11 +405,11 @@ mod tests {
     }
 
     #[test]
-    fn memo_never_fakes_hits_under_l1_thrash() {
+    fn l1_thrash_never_hits() {
         // SandyBridge's 4KB L1 TLB is 64 entries / 4 ways = 16 sets.
         // Five pages in the same set LRU-thrash: once warm, no lookup may
-        // ever be an L1 hit. A memo that survived TLB replacement would
-        // fabricate L1Hit outcomes here.
+        // ever be an L1 hit, and the data references between them must
+        // not change that.
         let mut vm = MemorySubsystem::new(&Platform::SANDY_BRIDGE);
         for round in 0..4 {
             for i in 0..5u64 {
@@ -578,8 +417,8 @@ mod tests {
                 let out = vm.translate(va, PageSize::Base4K);
                 if round > 0 {
                     assert!(
-                        !matches!(out.translation, Translation::L1Hit),
-                        "round {round} page {i}: stale memo faked an L1 hit"
+                        !matches!(out, Translation::L1Hit),
+                        "round {round} page {i}: a thrashed page hit the L1 TLB"
                     );
                 }
                 vm.data_access(va, PageSize::Base4K);
@@ -588,19 +427,19 @@ mod tests {
     }
 
     #[test]
-    fn memo_data_access_matches_page_table() {
-        // The memoized physical base must reproduce PageTable::translate
-        // exactly for every page size, including unaligned offsets.
+    fn data_access_matches_page_table() {
+        // The data reference must go to PageTable::translate's address
+        // for every page size, including unaligned offsets.
         let mut vm = MemorySubsystem::new(&Platform::BROADWELL);
         for size in PageSize::ALL {
             let va = VirtAddr::new((7 << 30) + 12345);
             let direct = vm.page_table().translate(va, size);
-            vm.translate(va, size); // fills the memo
+            vm.translate(va, size);
             let (_, cold_lat) = vm.data_access(va, size);
             let (warm_level, _) = vm.data_access(va, size);
-            assert_eq!(warm_level, HitLevel::L1d, "{size}: memoized PA diverged");
+            assert_eq!(warm_level, HitLevel::L1d, "{size}: data PA diverged");
             assert!(cold_lat >= 1);
-            // And the memo path agrees with the pure translation.
+            // And the page table's translation stays pure.
             assert_eq!(vm.page_table().translate(va, size), direct);
         }
     }

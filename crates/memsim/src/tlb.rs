@@ -43,22 +43,6 @@ impl Tlb {
         self.cache.access(va.page_number(self.size))
     }
 
-    /// Like [`Tlb::access`], additionally returning the slot where the
-    /// translation now resides (see [`SetAssocCache::access_locating`]).
-    #[inline]
-    pub fn access_locating(&mut self, va: VirtAddr) -> (bool, u32) {
-        self.cache.access_locating(va.page_number(self.size))
-    }
-
-    /// O(1) re-hit through a slot from [`Tlb::access_locating`]: if the
-    /// slot, the first way of its set, still holds the translation of
-    /// `vpn`, performs exactly a hitting [`Tlb::access`] and returns
-    /// `true`; otherwise leaves the TLB untouched.
-    #[inline]
-    pub fn hit_at(&mut self, slot: u32, vpn: u64) -> bool {
-        self.cache.hit_at(slot, vpn)
-    }
-
     /// Looks up without filling.
     pub fn probe(&self, va: VirtAddr) -> bool {
         self.cache.probe(va.page_number(self.size))

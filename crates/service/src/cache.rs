@@ -10,7 +10,8 @@
 //! [`vmcore::MemoryLayout::describe`]), so spellings that name the same
 //! request (`2m:0..64M`, `2mb:0..65536K`) share one entry.
 //!
-//! Determinism invariants (enforced by `mosaic audit`): the map is a
+//! Determinism invariants (the hashed maps are banned by clippy's
+//! `disallowed-types` table in `crates/clippy.toml`): the map is a
 //! `BTreeMap` and eviction is strict FIFO through a `VecDeque`, so the
 //! cache's contents and eviction order are a pure function of the
 //! request sequence — never of a per-process hasher seed. Hits return a

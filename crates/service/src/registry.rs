@@ -34,7 +34,9 @@ use harness::{Grid, MeasureContext};
 use machine::Platform;
 use mosmodel::cv::k_fold;
 use mosmodel::metrics::{geo_mean_err, max_err};
-use mosmodel::persist::{decode_bundle, encode_bundle, ModelBundle, PersistedModel};
+use mosmodel::persist::{
+    decode_bundle, encode_bundle, encode_component, ModelBundle, PersistedModel,
+};
 use mosmodel::ModelKind;
 use vmcore::parallel::{Flight, Singleflight};
 
@@ -383,13 +385,18 @@ impl ModelRegistry {
         Ok(Arc::new(RegistryEntry { bundle, ctx }))
     }
 
+    /// The store file of a pair. Each name goes through the injective
+    /// [`encode_component`], shared with the grid cache, so distinct
+    /// pairs never share a store file (colliding pairs would fail the
+    /// identity check in `load_store`, refit on every start and
+    /// overwrite each other's store).
     fn store_path(&self, workload: &str, platform: &str) -> Option<PathBuf> {
         let dir = self.store_dir.as_ref()?;
         Some(dir.join(format!(
             "{}_{}_{}.models",
-            encode_store_component(self.grid.speed().name),
-            encode_store_component(workload),
-            encode_store_component(platform),
+            encode_component(self.grid.speed().name),
+            encode_component(workload),
+            encode_component(platform),
         )))
     }
 
@@ -443,30 +450,6 @@ impl ModelRegistry {
             models,
         }
     }
-}
-
-/// Injective file-name encoding for store-path components. ASCII
-/// alphanumerics, `-` and `.` pass through; every other byte (including
-/// `_`, `/`, space and `%` itself) becomes `%XX`, so distinct names can
-/// never share a store file — the old `replace(['/', ' '], "_")` mapped
-/// `a/b`, `a b` and `a_b` to the same path, and colliding pairs then
-/// failed the identity check in `load_store` and refit every start
-/// while overwriting each other's store.
-///
-/// The implementation lives in [`mosmodel::persist::encode_component`]
-/// so the grid cache (which had the same collision bug) shares one
-/// codec with the registry store.
-fn encode_store_component(raw: &str) -> String {
-    mosmodel::persist::encode_component(raw)
-}
-
-/// Inverse of the store's file-name encoding
-/// ([`mosmodel::persist::encode_component`]): decodes `%XX` escapes back to
-/// their bytes, so tooling can recover the pair a store file serves
-/// from its name. Returns `None` for text no encoder output could have
-/// produced (truncated or non-hex escapes, non-UTF-8 decoded bytes).
-pub fn decode_store_component(encoded: &str) -> Option<String> {
-    mosmodel::persist::decode_component(encoded)
 }
 
 #[cfg(test)]
@@ -666,37 +649,11 @@ mod tests {
             }
         }
         // Encoding is stable and keeps safe characters readable.
-        assert_eq!(encode_store_component("gups/8GB"), "gups%2F8GB");
-        assert_eq!(encode_store_component("a_b"), "a%5Fb");
-        assert_eq!(encode_store_component("a b"), "a%20b");
-        assert_eq!(encode_store_component("Broadwell-1.2"), "Broadwell-1.2");
-        assert_eq!(encode_store_component("100%"), "100%25");
-    }
-
-    #[test]
-    fn store_component_encoding_round_trips() {
-        for raw in [
-            "gups/8GB",
-            "a_b",
-            "a b",
-            "100%",
-            "Broadwell-1.2",
-            "",
-            "snake_case/with spaces/and%percent",
-            "ünïcode/π",
-        ] {
-            let encoded = encode_store_component(raw);
-            assert_eq!(
-                decode_store_component(&encoded).as_deref(),
-                Some(raw),
-                "{raw:?} -> {encoded:?} failed to decode back"
-            );
-        }
-        // Text no encoder could have produced decodes to None, not junk.
-        assert_eq!(decode_store_component("%"), None);
-        assert_eq!(decode_store_component("%2"), None);
-        assert_eq!(decode_store_component("%zz"), None);
-        assert_eq!(decode_store_component("%FF"), None); // not UTF-8
+        assert_eq!(encode_component("gups/8GB"), "gups%2F8GB");
+        assert_eq!(encode_component("a_b"), "a%5Fb");
+        assert_eq!(encode_component("a b"), "a%20b");
+        assert_eq!(encode_component("Broadwell-1.2"), "Broadwell-1.2");
+        assert_eq!(encode_component("100%"), "100%25");
     }
 
     #[test]

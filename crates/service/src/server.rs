@@ -95,7 +95,9 @@ const POLL_WINDOW_MS: i32 = 100;
 
 /// Most bytes the acceptor drains from a rejected (`busy`) connection
 /// before closing it — enough pipelined requests for a clean FIN,
-/// bounded so a hostile firehose cannot pin the acceptor.
+/// bounded so a hostile firehose cannot pin the acceptor. The drain is
+/// bounded by reads of a fixed scratch buffer, not by bytes, so a
+/// client trickling a byte at a time cannot pin it either.
 const BUSY_DRAIN_CAP: usize = 4096;
 
 /// How a [`Server`] listens and schedules work.
@@ -400,11 +402,9 @@ fn reject_busy(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.write_all(b"busy\n");
     let _ = stream.set_read_timeout(Some(Duration::from_millis(10)));
     let mut scratch = [0u8; 256];
-    let mut drained: usize = 0;
-    while drained < BUSY_DRAIN_CAP {
-        match stream.read(&mut scratch) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => drained = drained.saturating_add(n),
+    for _ in 0..BUSY_DRAIN_CAP / scratch.len() {
+        if matches!(stream.read(&mut scratch), Ok(0) | Err(_)) {
+            break;
         }
     }
 }
@@ -776,7 +776,7 @@ fn metrics_report(shared: &Shared) -> MetricsReport {
 /// removes a worker, and enough hostile requests would empty the pool
 /// while the acceptor keeps admitting connections. Any panic becomes a
 /// protocol-level `err internal ...` response and the worker lives on
-/// (the shared queue tolerates this — see [`lock_queue`]).
+/// (the per-shard inboxes tolerate this — see [`lock_inbox`]).
 fn handle_line_shielded(
     line: &str,
     shared: &Shared,
@@ -1149,7 +1149,7 @@ pub fn recommend(
     )
 }
 
-/// [`recommend`] with stage tracing: `fit` for the registry entry,
+/// [`recommend()`] with stage tracing: `fit` for the registry entry,
 /// `cache_lookup` for the recommendation cache, `explore` for candidate
 /// enumeration, `score` for the per-candidate predictions + decision.
 pub(crate) fn recommend_traced(

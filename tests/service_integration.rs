@@ -932,6 +932,65 @@ fn full_queue_rejects_with_busy_and_shutdown_drains() {
     }
 }
 
+/// A rejected client that trickles bytes after its `busy` must not hold
+/// the acceptor: the drain is bounded by reads, so the next rejected
+/// client is answered promptly. When the drain counted bytes instead, a
+/// byte every 2 ms kept the acceptor reading for the whole 5 s.
+#[test]
+fn trickling_busy_client_does_not_stall_the_acceptor() {
+    let config = ServerConfig {
+        workers: 1,
+        queue_bound: 1,
+        ..Default::default()
+    };
+    let server = Server::start(config, ModelRegistry::new(Grid::in_memory(TINY), None)).unwrap();
+    let addr = server.addr();
+
+    // One held connection owns the worker, one more fills the queue.
+    let mut holder = Client::connect(addr).unwrap();
+    holder.stats().unwrap();
+    let _queued = TcpStream::connect(addr).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while holder.stats().unwrap().queue_depth < 1 {
+        assert!(
+            Instant::now() < deadline,
+            "acceptor never queued the connection"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // The trickler reads its `busy`, then writes one byte every 2 ms for
+    // 5 s, or until the server has closed the connection.
+    let mut trickler = TcpStream::connect(addr).unwrap();
+    let mut line = String::new();
+    BufReader::new(trickler.try_clone().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    assert_eq!(line.trim_end(), "busy");
+    let trickle = std::thread::spawn(move || {
+        let until = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < until && trickler.write_all(b"x").is_ok() {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    });
+
+    let next = TcpStream::connect(addr).unwrap();
+    next.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let started = Instant::now();
+    let mut line = String::new();
+    BufReader::new(next).read_line(&mut line).unwrap();
+    let waited = started.elapsed();
+    assert_eq!(line.trim_end(), "busy");
+    assert!(
+        waited < Duration::from_secs(2),
+        "the trickling client held the acceptor for {waited:?}"
+    );
+
+    trickle.join().unwrap();
+    server.shutdown();
+}
+
 /// The starvation regression test for the event-driven plane: open as
 /// many idle persistent connections as there are workers, then prove a
 /// fresh client is still served promptly. Under the old
