@@ -3,7 +3,7 @@
 
 use machine::{Engine, Platform};
 use memsim::{PwcGeometry, StlbGeometry, TlbGeometry};
-use vmcore::{PageSize, VirtAddr};
+use vmcore::{PageSize, PmuCounters, VirtAddr};
 use workloads::Access;
 
 /// A deliberately tiny machine: 1-entry L1 TLBs, 2-entry STLB, so that
@@ -155,4 +155,51 @@ fn write_accesses_count_like_reads_in_translation() {
     let c = Engine::new(&tiny_platform()).run(writes, |_| PageSize::Base4K);
     assert_eq!(c.stlb_misses, 2);
     assert_eq!(c.stlb_hits, 4);
+}
+
+#[test]
+fn walk_storm_after_a_long_walk_free_stretch() {
+    // One walk maps a 2MB page; 160,000 accesses then sweep its lines
+    // (L1 TLB hits, every load an L1d and L2 miss) without a walk. That
+    // is long enough for the walk-density EMA to fall below 2^-1022
+    // (after ~140k) and, unflushed, to stick at a subnormal value (after
+    // ~146k). A storm over 4KB pages then walks on every access and
+    // carries the density past the 35% MLP onset. Every counter is
+    // pinned, so the decayed state and the storm after it are both fixed.
+    const HUGE_BASE: u64 = 0x4000_0000;
+    const STORM_BASE: u64 = 0x8000_0000;
+    let resolver = |va: VirtAddr| {
+        if va.raw() < STORM_BASE {
+            PageSize::Huge2M
+        } else {
+            PageSize::Base4K
+        }
+    };
+    let stretch =
+        (0..160_000u64).map(|i| Access::read(VirtAddr::new(HUGE_BASE + (i * 4160) % (2 << 20)), 2));
+    let storm = (0..3_000u64).map(|i| {
+        let va = VirtAddr::new(STORM_BASE + (i * 7919 % 4096) * 4096);
+        if i % 5 == 0 {
+            Access::read_dep(va, 2)
+        } else {
+            Access::read(va, 2)
+        }
+    });
+    let c = Engine::new(&tiny_platform()).run(stretch.chain(storm), resolver);
+    assert_eq!(
+        c,
+        PmuCounters {
+            runtime_cycles: 3_290_617,
+            stlb_hits: 0,
+            stlb_misses: 3_001,
+            walk_cycles: 97_090,
+            instructions: 489_000,
+            program_l1d_loads: 163_000,
+            program_l2_loads: 163_000,
+            program_l3_loads: 163_000,
+            walker_l1d_loads: 3_012,
+            walker_l2_loads: 435,
+            walker_l3_loads: 393,
+        }
+    );
 }
