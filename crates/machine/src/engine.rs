@@ -8,6 +8,13 @@ use workloads::Access;
 const DEP_EXPOSED: f64 = 0.85;
 /// EMA decay for the walk-density estimate (≈ last few hundred accesses).
 const MISS_EMA_DECAY: f64 = 0.995;
+/// Walk densities below this are stored as exactly 0. Left alone, a long
+/// walk-free stretch decays the EMA into subnormal floats (it sticks at
+/// 4.9e-322), and every later multiply takes a slow microcode assist. The
+/// flush moves no counter: the density is only read through
+/// [`MLP_ONSET`], far above it, and any value under 2^-62 vanishes when
+/// the next walk adds `1 - MISS_EMA_DECAY` (see the tests).
+const WALK_DENSITY_FLOOR: f64 = 1e-20;
 /// A dependent chase's walk overlaps less with surrounding work: the ROB
 /// drains behind the chain. Scales the platform's walk-hide cap.
 const DEP_WALK_HIDE: f64 = 0.6;
@@ -203,8 +210,13 @@ impl Engine {
                 walked = true;
             }
         }
-        self.walk_density = MISS_EMA_DECAY * self.walk_density
+        let density = MISS_EMA_DECAY * self.walk_density
             + (1.0 - MISS_EMA_DECAY) * f64::from(u8::from(walked));
+        self.walk_density = if density < WALK_DENSITY_FLOOR {
+            0.0
+        } else {
+            density
+        };
 
         // The data reference itself. L1 hits are pipelined (free beyond
         // the base cost). Independent loads expose their extra latency
@@ -308,6 +320,79 @@ mod tests {
         let a = arena(footprint);
         let trace = spec.trace(&TraceParams::new(a, accesses, 7));
         Engine::new(platform).run(trace, |_| size)
+    }
+
+    /// `now`, `headroom`, `walk_density` and every `walker_free_at` slot
+    /// must each be 0 or a normal float: subnormal operands make x86 take
+    /// a microcode assist on every multiply that reads them.
+    fn assert_no_subnormal_state(engine: &Engine, context: &str) {
+        let scalars = [
+            ("now", engine.now),
+            ("headroom", engine.headroom),
+            ("walk_density", engine.walk_density),
+        ];
+        let walkers = engine.walker_free_at.iter().map(|&t| ("walker_free_at", t));
+        for (field, value) in scalars.into_iter().chain(walkers) {
+            assert!(
+                value == 0.0 || value.is_normal(),
+                "{field} = {value:e} ({context})"
+            );
+        }
+    }
+
+    #[test]
+    fn long_replays_keep_every_float_normal_or_zero() {
+        // 160k accesses outlast the ~146k walk-free accesses after which
+        // an unflushed walk density sticks at a subnormal value. Under 2MB
+        // the 64MB arena fits every platform's 2MB L1 TLB and under 1GB
+        // it is one page, so those replays are almost walk-free; under
+        // 4KB they walk constantly.
+        let spec = WorkloadSpec::by_name("gups/8GB").unwrap();
+        for platform in Platform::ALL_EXTENDED {
+            for size in [PageSize::Base4K, PageSize::Huge2M, PageSize::Huge1G] {
+                let mut engine = Engine::new(platform);
+                let trace = spec.trace(&TraceParams::new(arena(64 * MIB), 160_000, 7));
+                for (i, access) in trace.enumerate() {
+                    engine.step(&access, &|_| size);
+                    assert_no_subnormal_state(
+                        &engine,
+                        &format!("{} {size:?}, access {i}", platform.name),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_next_walk_absorbs_any_density_below_the_floor() {
+        // A walk sets the density to `DECAY * wd + (1 - DECAY)`. For any
+        // wd < 2^-62 the product is under half an ulp of (1 - DECAY), so
+        // the sum rounds to (1 - DECAY) exactly: flushing such a wd to 0
+        // cannot change the density after the next walk. Rounding is
+        // monotone, so checking the largest flushed value covers them all.
+        let walk = 1.0 - MISS_EMA_DECAY;
+        for wd in [WALK_DENSITY_FLOOR, 2f64.powi(-62)] {
+            let after_walk = MISS_EMA_DECAY * wd + (1.0 - MISS_EMA_DECAY) * 1.0;
+            assert_eq!(after_walk.to_bits(), walk.to_bits(), "wd = {wd:e}");
+        }
+        // Decaying a value at the floor stays normal, so no multiply on
+        // the way down to the flush reads or writes a subnormal.
+        assert!((MISS_EMA_DECAY * WALK_DENSITY_FLOOR).is_normal());
+        // The density is read only as `wd - MLP_ONSET`, clamped at 0.
+        const { assert!(WALK_DENSITY_FLOOR < MLP_ONSET) };
+
+        // The same in the engine: a stuck subnormal density and a
+        // flushed one leave bit-equal state after a walking access.
+        let access = Access::read(VirtAddr::new(0x1000_0000_0000), 2);
+        let mut stuck = Engine::new(&Platform::SANDY_BRIDGE);
+        stuck.walk_density = 4.9e-322;
+        let mut flushed = Engine::new(&Platform::SANDY_BRIDGE);
+        flushed.step(&access, &|_| PageSize::Base4K);
+        stuck.step(&access, &|_| PageSize::Base4K);
+        assert_eq!(stuck.counters().stlb_misses, 1, "the access must walk");
+        assert_eq!(stuck.walk_density.to_bits(), flushed.walk_density.to_bits());
+        assert_eq!(stuck.walk_density.to_bits(), walk.to_bits());
+        assert_eq!(stuck.counters(), flushed.counters());
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //! The paper's Sliding Window heuristic needs to know *where* a workload's
 //! TLB misses fall in its address space (§VI-B step 1: "collect the
 //! workload's TLB miss trace with PEBS"). [`profile_tlb_misses`] plays the
-//! role of PEBS: it runs the trace through the TLBs only (no timing) and
-//! histograms second-level misses over fixed-size chunks of the arena.
+//! role of PEBS: it runs the trace through [`MemorySubsystem::translate`]
+//! with no timing model and histograms second-level misses over
+//! fixed-size chunks of the arena. That is not a TLB-only pass: every
+//! STLB miss also runs the walk caches, the page table and the walker's
+//! references through the data caches, exactly as in a replay.
 
 use memsim::{MemorySubsystem, Platform, Translation};
 use vmcore::{PageSize, Region};
@@ -78,6 +81,11 @@ impl MissProfile {
 
 /// Profiles the L2-TLB misses a trace incurs with an all-4KB layout,
 /// bucketing by `chunk_bytes` chunks of `arena`.
+///
+/// Each access is one [`MemorySubsystem::translate`]: the TLBs, and on an
+/// STLB miss the walk caches, page table and data caches the walk
+/// touches. Only the program's own data references and the engine's
+/// timing model are skipped.
 ///
 /// Accesses outside the arena are counted against their nearest end chunk.
 ///
