@@ -45,11 +45,13 @@ pub const RULE_IDS: [&str; 6] = [
 
 /// The canonical lock acquisition order for the serving plane, by the
 /// field name the guard is taken from. Holding a later lock while
-/// acquiring an earlier one is an inversion finding. The order encodes
-/// the code as audited: `pairs()` takes the CV memo before the
-/// registry's `entries` shards, each a singleflight memo whose map is
-/// its `slots` lock; the admission `queue` and the cache `inner`
-/// mutexes are leaves acquired with nothing else held.
+/// acquiring an earlier one is an inversion finding. The registry's
+/// `cv_errors` and `entries` are singleflight memos whose maps are
+/// their `slots` locks; `pairs()` snapshots the CV memo, then the entry
+/// memo, never holding both. The admission `queue` and the cache
+/// `inner` mutexes are leaves acquired with nothing else held. The
+/// table keeps `cv_errors` ahead of `entries`, so a change that nests
+/// them the other way is still an inversion.
 pub const LOCK_ORDER: [&str; 5] = ["cv_errors", "entries", "slots", "queue", "inner"];
 
 /// Ceilings on *honored* `audit:allow` waivers per rule across one

@@ -139,7 +139,7 @@ pub struct MachineVariant {
     pub name: String,
     /// The (possibly hypothetical) platform.
     pub platform: Platform,
-    /// Engine configuration (virtualization, lookahead overrides...).
+    /// Engine configuration (placement salt, virtualization).
     pub config: EngineConfig,
 }
 
@@ -772,12 +772,18 @@ impl MeasureContext {
         self.spec.name
     }
 
+    /// The pair's full trace, generated afresh: the same accesses on
+    /// every call.
+    pub fn trace(&self) -> impl Iterator<Item = Access> {
+        self.spec.trace(&self.params)
+    }
+
     /// The pair's full trace, materialised once into exactly
     /// `params.accesses` 16-byte entries. The capacity is reserved up
     /// front, so building it never holds a second, transient copy.
     fn trace_buffer(&self) -> Vec<Access> {
         let mut trace = Vec::with_capacity(self.params.accesses as usize);
-        trace.extend(self.spec.trace(&self.params));
+        trace.extend(self.trace());
         trace
     }
 }
@@ -825,8 +831,7 @@ pub fn measure_layout_traced(
     layout: &MemoryLayout,
     recorder: Option<&mut obs::SpanRecorder>,
 ) -> RunRecord {
-    let trace = || ctx.spec.trace(&ctx.params);
-    let runs = replay_layout(ctx, variant, layout, trace, ctx.params.accesses);
+    let runs = replay_layout(ctx, variant, layout, || ctx.trace(), ctx.params.accesses);
     if let Some(rec) = recorder {
         let mut base: u64 = 0;
         for counters in &runs {
@@ -864,13 +869,7 @@ pub fn measure_layout_sampled(
     period: u64,
 ) -> RunRecord {
     let kept = sampling::kept_count(ctx.params.accesses, window, period);
-    let windows = || {
-        sampling::windows(
-            ctx.spec.trace(&ctx.params),
-            window as usize,
-            period as usize,
-        )
-    };
+    let windows = || sampling::windows(ctx.trace(), window as usize, period as usize);
     run_record(layout, &replay_layout(ctx, variant, layout, windows, kept))
 }
 

@@ -20,15 +20,13 @@
 use std::fmt;
 
 use machine::{partial_sim, Engine, Platform};
-use mosalloc::{Mosalloc, MosallocConfig, PoolSpec};
 use mosmodel::metrics::max_err;
 use mosmodel::models::{ModelKind, RuntimeModel};
 use mosmodel::{FitError, Sample};
-use vmcore::{PageSize, Region};
-use workloads::{TraceParams, WorkloadSpec};
+use vmcore::PageSize;
 
 use crate::report::{cycles, pct};
-use crate::{Grid, Speed};
+use crate::{Grid, MeasureContext};
 
 /// Result of one design-exploration experiment (Figure 1 end to end).
 #[derive(Clone, Debug, PartialEq)]
@@ -98,22 +96,12 @@ pub fn explore_design(
     // Step 1: train on the base platform's Mosalloc data.
     let fitted = model.fit(&grid.dataset(workload, base))?;
 
-    // Steps 2-4 share the workload setup the grid uses.
-    let spec =
-        WorkloadSpec::by_name(workload).unwrap_or_else(|| panic!("unknown workload {workload:?}"));
-    let speed: Speed = grid.speed();
-    let footprint = speed.footprint(spec.nominal_footprint);
-    let alloc = Mosalloc::new(MosallocConfig {
-        brk: PoolSpec::plain(footprint),
-        anon: PoolSpec::plain(64 << 20),
-        file: PoolSpec::plain(64 << 20),
-    })
-    .expect("plain config");
-    let arena: Region = alloc.heap().region();
-    let params = TraceParams::new(arena, speed.trace_len(spec.access_factor), fnv(workload));
+    // Steps 2-4 replay the trace the grid measures.
+    let ctx = MeasureContext::new(grid.speed(), workload)
+        .unwrap_or_else(|| panic!("unknown workload {workload:?}"));
 
     // Step 2: partial simulation of the hypothetical design.
-    let partial = partial_sim(design, spec.trace(&params), |_| backing);
+    let partial = partial_sim(design, ctx.trace(), |_| backing);
 
     // Step 3: the model predicts the design's runtime.
     let sample = Sample {
@@ -126,7 +114,7 @@ pub fn explore_design(
     let predicted_r = fitted.predict(&sample);
 
     // Step 4: ground truth — the full simulation the methodology avoids.
-    let full = Engine::new(design).run(spec.trace(&params), |_| backing);
+    let full = Engine::new(design).run(ctx.trace(), |_| backing);
 
     Ok(DesignPrediction {
         workload: workload.to_string(),
@@ -156,19 +144,10 @@ pub fn transfer_error(
     Ok(max_err(&fitted, &grid.dataset(workload, to)))
 }
 
-/// FNV-1a over the workload name, matching the grid's trace seeds.
-fn fnv(name: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in name.as_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Speed;
 
     fn tiny_grid() -> Grid {
         Grid::in_memory(Speed {

@@ -1,6 +1,6 @@
 //! The cycle-accounting execution engine.
 
-use memsim::{MemorySubsystem, Microarch, Platform, Translation};
+use memsim::{MemorySubsystem, Microarch, Platform, Translation, DEFAULT_SALT};
 use vmcore::{PageSize, PmuCounters, VirtAddr};
 use workloads::Access;
 
@@ -36,10 +36,6 @@ const HEADROOM_SUPPLY: f64 = 2.5;
 /// Tunables of the timing model that are not platform-specific.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EngineConfig {
-    /// Overrides the platform's walk lookahead (how many cycles ahead of
-    /// the retirement point the out-of-order front end can launch a page
-    /// walk). `None` uses [`Platform::walk_lookahead`].
-    pub walk_lookahead: Option<f64>,
     /// Page-table placement salt (varies physical layout between runs).
     pub salt: u64,
     /// When set, the machine runs virtualized with the guest backed by
@@ -51,8 +47,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            walk_lookahead: None,
-            salt: 0x6d6f_7361_6963,
+            salt: DEFAULT_SALT,
             virtualized: None,
         }
     }
@@ -88,7 +83,6 @@ pub struct Engine {
     /// bounded by the reorder-buffer depth.
     headroom: f64,
     headroom_cap: f64,
-    lookahead: f64,
     // Counter accumulators.
     /// Exponential moving average of "this access walked" — the walk
     /// density that throttles memory-level parallelism.
@@ -115,11 +109,12 @@ impl Engine {
             Microarch::Skylake => 224.0,
         };
         Engine {
-            lookahead: config.walk_lookahead.unwrap_or(platform.walk_lookahead),
             platform: platform.clone(),
             config,
             vm: match config.virtualized {
-                Some(host_backing) => MemorySubsystem::virtualized(platform, host_backing),
+                Some(host_backing) => {
+                    MemorySubsystem::virtualized(platform, host_backing, config.salt)
+                }
                 None => MemorySubsystem::with_salt(platform, config.salt),
             },
             now: 0.0,
@@ -253,7 +248,11 @@ impl Engine {
             .enumerate()
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .expect("at least one walker");
-        let lookahead = if dep { 0.0 } else { self.lookahead };
+        let lookahead = if dep {
+            0.0
+        } else {
+            self.platform.walk_lookahead
+        };
         let start = (self.now - lookahead).max(earliest);
         let end = start + walk;
         self.walker_free_at[slot] = end;
@@ -541,6 +540,25 @@ mod tests {
             a.instructions, b.instructions,
             "layout must not change the program"
         );
+    }
+
+    #[test]
+    fn virtualized_placement_follows_the_salt() {
+        // The harness varies the salt per repetition; a virtualized
+        // machine that ignored it would replay one placement forever.
+        let spec = WorkloadSpec::by_name("gups/8GB").unwrap();
+        let params = TraceParams::new(arena(256 * MIB), 40_000, 7);
+        let run = |salt: u64| {
+            let config = EngineConfig {
+                salt,
+                virtualized: Some(PageSize::Base4K),
+            };
+            Engine::with_config(&Platform::SANDY_BRIDGE, config)
+                .run(spec.trace(&params), |_| PageSize::Base4K)
+        };
+        let base = run(DEFAULT_SALT);
+        assert_eq!(base, run(DEFAULT_SALT), "same salt, same counters");
+        assert_ne!(base, run(DEFAULT_SALT ^ (1 << 56)), "salt ignored");
     }
 
     #[test]

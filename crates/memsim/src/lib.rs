@@ -56,5 +56,5 @@ pub use nested::{NestedWalkInfo, NestedWalker};
 pub use pagetable::{Level, PageTable, WalkPath};
 pub use platform::{CacheLatencies, Microarch, Platform, PwcGeometry, StlbGeometry, TlbGeometry};
 pub use pwc::{PwcLevel, WalkCaches};
-pub use subsystem::{AccessOutcome, MemorySubsystem, Translation, WalkInfo};
+pub use subsystem::{AccessOutcome, MemorySubsystem, Translation, WalkInfo, DEFAULT_SALT};
 pub use tlb::{Stlb, Tlb};

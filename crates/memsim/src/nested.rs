@@ -17,7 +17,14 @@
 
 use vmcore::{PageSize, PhysAddr, VirtAddr};
 
-use crate::{MemoryHierarchy, PageTable, Platform, PwcGeometry, WalkCaches};
+use crate::{MemoryHierarchy, PageTable, Platform, PwcGeometry, WalkCaches, DEFAULT_SALT};
+
+/// XORed into the placement salt for the guest table. With
+/// [`DEFAULT_SALT`] it yields `0x67_7565_7374` ("guest").
+const GUEST_TAG: u64 = 0x67_7565_7374 ^ DEFAULT_SALT;
+/// XORed into the placement salt for the host table. With
+/// [`DEFAULT_SALT`] it yields `0x686f_7374` ("host").
+const HOST_TAG: u64 = 0x686f_7374 ^ DEFAULT_SALT;
 
 /// Per-walk breakdown of a nested (2D) page walk.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -56,11 +63,13 @@ pub struct NestedWalker {
 
 impl NestedWalker {
     /// Creates the 2D walker for `platform`, backing the guest's memory
-    /// with `host_backing` pages on the host side.
-    pub fn new(platform: &Platform, host_backing: PageSize) -> Self {
+    /// with `host_backing` pages on the host side. `salt` places both
+    /// tables, so repetitions with different salts see different
+    /// physical layouts in both dimensions.
+    pub fn new(platform: &Platform, host_backing: PageSize, salt: u64) -> Self {
         NestedWalker {
-            guest: PageTable::new(0x67_7565_7374),
-            host: PageTable::new(0x686f_7374),
+            guest: PageTable::new(salt ^ GUEST_TAG),
+            host: PageTable::new(salt ^ HOST_TAG),
             guest_pwc: WalkCaches::new(platform.pwc),
             // The nested TLB is small on real parts; reuse the PWC sizes.
             host_pwc: WalkCaches::new(PwcGeometry {
@@ -70,11 +79,6 @@ impl NestedWalker {
             }),
             host_backing,
         }
-    }
-
-    /// The guest page table (for data-address translation).
-    pub fn guest_table(&self) -> &PageTable {
-        &self.guest
     }
 
     /// Composes guest and host translation: the host-physical address of
@@ -150,7 +154,7 @@ mod tests {
 
     fn setup() -> (NestedWalker, MemoryHierarchy) {
         (
-            NestedWalker::new(&Platform::SANDY_BRIDGE, PageSize::Base4K),
+            NestedWalker::new(&Platform::SANDY_BRIDGE, PageSize::Base4K, DEFAULT_SALT),
             MemoryHierarchy::new(&Platform::SANDY_BRIDGE),
         )
     }
@@ -190,7 +194,8 @@ mod tests {
     #[test]
     fn host_hugepages_shrink_the_host_dimension() {
         let (mut walker_4k, mut mem_4k) = setup();
-        let mut walker_2m = NestedWalker::new(&Platform::SANDY_BRIDGE, PageSize::Huge2M);
+        let mut walker_2m =
+            NestedWalker::new(&Platform::SANDY_BRIDGE, PageSize::Huge2M, DEFAULT_SALT);
         let mut mem_2m = MemoryHierarchy::new(&Platform::SANDY_BRIDGE);
         let cold_4k = walker_4k.walk(VirtAddr::new(0x9000_0000), PageSize::Base4K, &mut mem_4k);
         let cold_2m = walker_2m.walk(VirtAddr::new(0x9000_0000), PageSize::Base4K, &mut mem_2m);

@@ -80,10 +80,14 @@ pub struct MemorySubsystem {
     prefetches: u64,
 }
 
+/// The page-table placement salt of [`MemorySubsystem::new`] and of a
+/// default-configured engine.
+pub const DEFAULT_SALT: u64 = 0x6d6f_7361_6963;
+
 impl MemorySubsystem {
-    /// Builds the subsystem for `platform` with a default placement salt.
+    /// Builds the subsystem for `platform` with [`DEFAULT_SALT`].
     pub fn new(platform: &Platform) -> Self {
-        Self::with_salt(platform, 0x6d6f_7361_6963)
+        Self::with_salt(platform, DEFAULT_SALT)
     }
 
     /// Builds the subsystem with an explicit page-table placement salt
@@ -118,10 +122,12 @@ impl MemorySubsystem {
 
     /// Builds a **virtualized** subsystem: translations that miss both
     /// TLBs take two-dimensional (guest x host) walks, with the guest's
-    /// memory backed by `host_backing` pages on the host side.
-    pub fn virtualized(platform: &Platform, host_backing: PageSize) -> Self {
-        let mut vm = Self::new(platform);
-        vm.nested = Some(NestedWalker::new(platform, host_backing));
+    /// memory backed by `host_backing` pages on the host side. `salt`
+    /// places both page tables, as [`Self::with_salt`] places the native
+    /// one.
+    pub fn virtualized(platform: &Platform, host_backing: PageSize, salt: u64) -> Self {
+        let mut vm = Self::with_salt(platform, salt);
+        vm.nested = Some(NestedWalker::new(platform, host_backing, salt));
         vm
     }
 
@@ -387,7 +393,8 @@ mod tests {
     #[test]
     fn virtualized_walks_cost_more() {
         let mut native = MemorySubsystem::new(&Platform::SANDY_BRIDGE);
-        let mut virt = MemorySubsystem::virtualized(&Platform::SANDY_BRIDGE, PageSize::Base4K);
+        let mut virt =
+            MemorySubsystem::virtualized(&Platform::SANDY_BRIDGE, PageSize::Base4K, DEFAULT_SALT);
         assert!(virt.is_virtualized() && !native.is_virtualized());
         let va = VirtAddr::new(0x5000_0000);
         let n = match native.translate(va, PageSize::Base4K) {

@@ -106,11 +106,6 @@ impl FirstFit {
         self.holes.values().sum()
     }
 
-    /// Number of live allocations.
-    pub fn live_count(&self) -> usize {
-        self.live.len()
-    }
-
     /// Allocates `len` bytes aligned to `align` (a power of two), returning
     /// the start offset.
     ///
@@ -231,12 +226,6 @@ impl FirstFit {
                 break;
             }
         }
-    }
-
-    /// Iterates over live allocations as `(start, len)` pairs in address
-    /// order.
-    pub fn iter_live(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.live.iter().map(|(&s, &l)| (s, l))
     }
 
     /// Whether `offset` lies inside a live allocation.

@@ -13,8 +13,7 @@ use std::fmt;
 
 use vmcore::{MemoryLayout, PageSize, Region};
 
-use crate::budget::Budget;
-use crate::explore::default_explorers;
+use crate::budget::{render_budget, Budget};
 
 /// Steps per exploration heuristic on the request path. Smaller than
 /// the battery's 8: every candidate costs one partial simulation to
@@ -88,9 +87,17 @@ impl fmt::Display for RecommendError {
 impl std::error::Error for RecommendError {}
 
 /// Enumerates the deterministic candidate set for one budget: the
-/// all-4KB baseline, the admissible uniform layouts, then every
-/// explorer's admissible candidates, deduplicated by canonical
+/// all-4KB baseline, the admissible uniform layouts, then the admissible
+/// layouts of the paper's three §VI-B heuristics (Growing, Random and
+/// Sliding Window, `steps` steps each), deduplicated by canonical
 /// description in first-seen order.
+///
+/// No clock and no ambient RNG: Random Window is seeded from the
+/// canonical budget string, so the same `(pool, budget, steps)` request
+/// enumerates the same candidates on any server. Sliding Window needs a
+/// hot region, and the request path has no PEBS-like profile, so it
+/// slides a *budget-sized* window (the largest window the 2MB inventory
+/// can back) from the pool's base.
 pub fn enumerate_candidates(pool: Region, budget: &Budget, steps: usize) -> Vec<MemoryLayout> {
     let mut seen = BTreeSet::new();
     let mut out = Vec::new();
@@ -104,12 +111,35 @@ pub fn enumerate_candidates(pool: Region, budget: &Budget, steps: usize) -> Vec<
         push(MemoryLayout::uniform(pool, PageSize::Huge2M));
         push(MemoryLayout::uniform(pool, PageSize::Huge1G));
     }
-    for explorer in default_explorers() {
-        for layout in explorer.candidates(pool, budget, steps) {
-            push(layout);
-        }
+    if steps == 0 || pool.is_empty() {
+        return out;
+    }
+    layouts::growing_window(pool, steps)
+        .into_iter()
+        .chain(layouts::random_window(pool, steps, budget_seed(budget)))
+        .for_each(&mut push);
+    if budget.huge_2m > 0 {
+        let window_bytes = budget
+            .huge_2m
+            .saturating_mul(PageSize::Huge2M.bytes())
+            .min(pool.len());
+        let hot = Region::new(pool.start(), window_bytes);
+        layouts::sliding_window(pool, hot, steps)
+            .into_iter()
+            .for_each(&mut push);
     }
     out
+}
+
+/// FNV-1a over the canonical budget string: a stable, dependency-free
+/// seed, so Random Window is a pure function of the budget.
+fn budget_seed(budget: &Budget) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in render_budget(budget).bytes() {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
 }
 
 /// Scores every candidate and decides.
@@ -262,6 +292,97 @@ mod tests {
             enumerate_candidates(pool(), &budget, 4),
             enumerate_candidates(pool(), &budget, 4),
         );
+    }
+
+    #[test]
+    fn every_heuristic_contributes_deterministic_candidates() {
+        let budget = Budget {
+            huge_2m: 512,
+            huge_1g: 0,
+        };
+        let candidates = enumerate_candidates(pool(), &budget, 4);
+        assert_eq!(candidates, enumerate_candidates(pool(), &budget, 4));
+        // Layouts a heuristic drew that made the list, baseline excluded.
+        let from = |layouts: Vec<MemoryLayout>| {
+            layouts
+                .iter()
+                .filter(|l| l.bytes_backed_by(PageSize::Base4K) < pool().len())
+                .filter(|l| candidates.contains(l))
+                .count()
+        };
+        assert!(from(layouts::growing_window(pool(), 4)) > 0, "growing");
+        assert!(
+            from(layouts::random_window(pool(), 4, budget_seed(&budget))) > 0,
+            "random"
+        );
+        let hot = Region::new(pool().start(), GIB);
+        assert!(from(layouts::sliding_window(pool(), hot, 4)) > 0, "sliding");
+    }
+
+    #[test]
+    fn random_candidates_follow_the_budget() {
+        // The budgets differ only in 1GB pages, which no 2MB heuristic
+        // places and neither budget can spend on this 2GB pool; only the
+        // random windows' seed tells the two enumerations apart.
+        let a = Budget {
+            huge_2m: 1024,
+            huge_1g: 0,
+        };
+        let b = Budget {
+            huge_2m: 1024,
+            huge_1g: 1,
+        };
+        let (ca, cb) = (
+            enumerate_candidates(pool(), &a, 8),
+            enumerate_candidates(pool(), &b, 8),
+        );
+        for c in ca.iter().chain(&cb) {
+            assert_eq!(c.bytes_backed_by(PageSize::Huge1G), 0, "{}", c.describe());
+        }
+        assert_ne!(ca, cb, "different budgets should draw different windows");
+    }
+
+    #[test]
+    fn degenerate_inputs_add_no_heuristic_candidates() {
+        let budget = Budget {
+            huge_2m: 64,
+            huge_1g: 0,
+        };
+        let empty = Region::new(VirtAddr::new(0x2000_0000_0000), 0);
+        let baseline =
+            |c: &[MemoryLayout]| c.iter().map(MemoryLayout::describe).collect::<Vec<_>>();
+        assert_eq!(
+            baseline(&enumerate_candidates(empty, &budget, 4)),
+            ["all-4KB"]
+        );
+        assert_eq!(
+            baseline(&enumerate_candidates(pool(), &budget, 0)),
+            ["all-4KB"]
+        );
+        // A 2MB-free budget gives Sliding Window nothing to slide, and
+        // admits no 2MB window of the other heuristics.
+        let no_2m = Budget {
+            huge_2m: 0,
+            huge_1g: 1,
+        };
+        assert_eq!(
+            baseline(&enumerate_candidates(pool(), &no_2m, 4)),
+            ["all-4KB"]
+        );
+    }
+
+    #[test]
+    fn sliding_window_is_budget_sized() {
+        let budget = Budget {
+            huge_2m: 64,
+            huge_1g: 0,
+        };
+        // 64 pages x 2MB = 128MB window at the pool base.
+        let first = enumerate_candidates(pool(), &budget, 4)
+            .into_iter()
+            .find(|c| c.bytes_backed_by(PageSize::Huge2M) == 128 << 20)
+            .expect("a budget-sized window");
+        assert_eq!(first.page_size_at(pool().start()), PageSize::Huge2M);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //!    admissible hugepage inventory, validated against the mosalloc pool
 //!    the same way [`layouts::spec`] validates window specs;
 //! 2. [`enumerate_candidates`] — a deterministic candidate generator
-//!    that reuses the paper's three exploration heuristics, lifted
-//!    behind the [`Explorer`] trait, and keeps only budget-admissible
-//!    layouts;
+//!    that calls the paper's three exploration heuristics in
+//!    [`layouts`] and keeps only budget-admissible layouts;
 //! 3. [`recommend`] — a scorer-driven engine that evaluates every
 //!    candidate with cheap model predictions (the [`Scorer`] is supplied
 //!    by the caller; mosaicd backs it with the pair's fitted registry
@@ -26,7 +25,7 @@
 //! budgeting of expensive runs).
 //!
 //! Everything here is deterministic: candidate order is a pure function
-//! of `(pool, budget, steps)` (the random explorer is seeded from the
+//! of `(pool, budget, steps)` (Random Window is seeded from the
 //! canonical budget string), so two independent servers produce
 //! byte-identical recommendations for the same request.
 
@@ -50,14 +49,12 @@
 
 pub mod budget;
 pub mod engine;
-pub mod explore;
 
 pub use budget::{parse_budget, render_budget, Budget, BudgetError};
 pub use engine::{
     enumerate_candidates, recommend, recommend_over, RecommendError, Recommendation, Score, Scorer,
     DEFAULT_CV_THRESHOLD, DEFAULT_EXPLORE_STEPS,
 };
-pub use explore::{default_explorers, Explorer};
 
 use vmcore::{MemoryLayout, PageSize};
 

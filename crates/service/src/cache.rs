@@ -17,14 +17,6 @@
 //! request sequence — never of a per-process hasher seed. Hits return a
 //! clone of the stored value, which is bit-identical to the uncached
 //! answer (same `f64` bits, same rendered bytes).
-//!
-//! The prediction cache is additionally *sharded* per
-//! `(workload, platform)` ([`ShardedPredictionCache`]): mixed-pair
-//! traffic contends on one of [`CACHE_SHARDS`] independent locks
-//! instead of a single global one. Shard selection is FNV-1a over the
-//! pair strings ([`pair_shard`]) — a pure function of the request, so
-//! sharding cannot perturb determinism: one pair always lives in one
-//! shard, and eviction within a shard stays strict FIFO.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,104 +82,10 @@ pub struct FifoCache<K, V> {
     misses: AtomicU64,
 }
 
-/// The predict verb's cache of complete [`Prediction`]s (one shard).
+/// The predict verb's cache of complete [`Prediction`]s: one FIFO over
+/// every `(workload, platform)` pair, so a single pair may fill the
+/// whole capacity.
 pub type PredictionCache = FifoCache<PredictionKey, Prediction>;
-
-/// Number of independent `(workload, platform)` shards in the
-/// prediction cache and the registry read path. Eight is enough that
-/// mixed-pair traffic rarely collides, while per-shard gauges stay
-/// readable in the Prometheus exposition.
-pub const CACHE_SHARDS: usize = 8;
-
-/// Deterministic shard selector: FNV-1a over the workload bytes, a
-/// separator, and the platform bytes, reduced mod `shards`. A pure
-/// function of the pair, so every process routes a pair to the same
-/// shard.
-pub fn pair_shard(workload: &str, platform: &str, shards: usize) -> usize {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    for byte in workload.bytes().chain([0xff]).chain(platform.bytes()) {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    if shards == 0 {
-        0
-    } else {
-        (hash % shards as u64) as usize
-    }
-}
-
-/// The prediction cache, split into [`CACHE_SHARDS`] independent FIFO
-/// shards keyed by [`pair_shard`]. The external contract is unchanged
-/// from the single [`PredictionCache`]: hits are bit-identical clones,
-/// counters sum across shards, and a capacity of 0 disables caching.
-/// Total capacity is distributed evenly (rounded up), so a sharded
-/// cache never holds fewer entries than its nominal capacity.
-#[derive(Debug)]
-pub struct ShardedPredictionCache {
-    shards: Vec<PredictionCache>,
-}
-
-impl ShardedPredictionCache {
-    /// Creates a sharded cache holding at least `capacity` values in
-    /// total; `capacity == 0` disables caching entirely.
-    pub fn new(capacity: usize) -> Self {
-        let per_shard = if capacity == 0 {
-            0
-        } else {
-            capacity.div_ceil(CACHE_SHARDS).max(1)
-        };
-        ShardedPredictionCache {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| FifoCache::new(per_shard))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, key: &PredictionKey) -> Option<&PredictionCache> {
-        self.shards
-            .get(pair_shard(&key.0, &key.1, self.shards.len()))
-    }
-
-    /// Looks up a value in the key's shard; counts a hit or a miss.
-    pub fn get(&self, key: &PredictionKey) -> Option<Prediction> {
-        self.shard(key).and_then(|s| s.get(key))
-    }
-
-    /// Stores a value in the key's shard (FIFO eviction within it).
-    pub fn insert(&self, key: PredictionKey, value: Prediction) {
-        if let Some(shard) = self.shard(&key) {
-            shard.insert(key, value);
-        }
-    }
-
-    /// Entries currently cached, summed across shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(FifoCache::len).sum()
-    }
-
-    /// Whether every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(FifoCache::is_empty)
-    }
-
-    /// Lookup counters summed across shards.
-    pub fn counters(&self) -> CacheCounters {
-        let mut sum = CacheCounters::default();
-        for c in self.shards.iter().map(FifoCache::counters) {
-            sum.hits = sum.hits.saturating_add(c.hits);
-            sum.misses = sum.misses.saturating_add(c.misses);
-        }
-        sum
-    }
-
-    /// Per-shard occupancy, in shard-index order — the
-    /// `mosaicd_prediction_cache_shard_len` gauge series.
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(FifoCache::len).collect()
-    }
-}
 
 impl<K: Ord + Clone, V: Clone> FifoCache<K, V> {
     /// Creates a cache holding at most `capacity` values;
@@ -338,60 +236,6 @@ mod tests {
         assert_eq!(cache.get(&("w".into(), 1)), None);
         assert_eq!(cache.get(&("w".into(), 3)), Some("c".into()));
         assert_eq!(cache.counters(), CacheCounters { hits: 1, misses: 1 });
-    }
-
-    #[test]
-    fn shard_selection_is_deterministic_and_in_range() {
-        for shards in [1, 2, 8, 13] {
-            for (w, p) in [("gups/8GB", "sandybridge"), ("mcf", "broadwell")] {
-                let s = pair_shard(w, p, shards);
-                assert!(s < shards);
-                assert_eq!(s, pair_shard(w, p, shards), "selector must be pure");
-            }
-        }
-        // The separator keeps ("ab", "c") and ("a", "bc") distinct
-        // inputs (they may still collide mod shards, but the hashes
-        // must differ).
-        assert_eq!(pair_shard("x", "y", 0), 0, "0 shards degrades to 0");
-    }
-
-    #[test]
-    fn sharded_cache_sums_counters_and_lens_across_shards() {
-        let cache = ShardedPredictionCache::new(16);
-        // Distinct pairs land in (usually) distinct shards; the
-        // aggregate view must not care either way.
-        let pairs = [
-            ("gups/8GB", "sandybridge"),
-            ("mcf", "broadwell"),
-            ("a", "b"),
-        ];
-        for (i, (w, p)) in pairs.iter().enumerate() {
-            let k = (w.to_string(), p.to_string(), "4k".to_string(), "mosmodel");
-            assert_eq!(cache.get(&k), None);
-            cache.insert(k.clone(), prediction(i as u64));
-            assert_eq!(cache.get(&k), Some(prediction(i as u64)));
-        }
-        assert_eq!(cache.len(), pairs.len());
-        assert!(!cache.is_empty());
-        assert_eq!(
-            cache.counters(),
-            CacheCounters {
-                hits: pairs.len() as u64,
-                misses: pairs.len() as u64
-            }
-        );
-        let lens = cache.shard_lens();
-        assert_eq!(lens.len(), CACHE_SHARDS);
-        assert_eq!(lens.iter().sum::<usize>(), pairs.len());
-    }
-
-    #[test]
-    fn sharded_zero_capacity_disables_caching() {
-        let cache = ShardedPredictionCache::new(0);
-        cache.insert(key(1), prediction(1));
-        assert_eq!(cache.get(&key(1)), None);
-        assert!(cache.is_empty());
-        assert_eq!(cache.shard_lens().iter().sum::<usize>(), 0);
     }
 
     #[test]

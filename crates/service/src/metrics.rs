@@ -178,18 +178,15 @@ pub struct Row {
     pub name: &'static str,
     /// The Prometheus `# HELP` text.
     pub help: &'static str,
-    /// Exposed after the per-shard cache series instead of in table
-    /// order. The `stats` line keeps table order for every row.
-    pub late: bool,
     /// Reads the field.
     pub get: fn(&StatsSnapshot) -> u64,
     /// Borrows the field for writing.
     pub get_mut: fn(&mut StatsSnapshot) -> &mut u64,
 }
 
-/// Builds [`ROWS`] from `field => key, name, late, help;` rows.
+/// Builds [`ROWS`] from `field => key, name, help;` rows.
 macro_rules! rows {
-    ($($($field:ident).+ => $key:literal, $name:literal, $late:literal, $help:literal;)+) => {
+    ($($($field:ident).+ => $key:literal, $name:literal, $help:literal;)+) => {
         /// Every scalar of [`StatsSnapshot`], in `stats`-line order. Both
         /// wire codecs walk this table; a new scalar is one field and one
         /// row.
@@ -197,7 +194,6 @@ macro_rules! rows {
             key: $key,
             name: $name,
             help: $help,
-            late: $late,
             get: |s| s.$($field).+,
             get_mut: |s| &mut s.$($field).+,
         }),+];
@@ -205,42 +201,42 @@ macro_rules! rows {
 }
 
 rows! {
-    requests => "requests", "mosaicd_requests_total", false,
+    requests => "requests", "mosaicd_requests_total",
         "Request lines served, including errors.";
-    predicts => "predicts", "mosaicd_predicts_total", false,
+    predicts => "predicts", "mosaicd_predicts_total",
         "Requests that were predict commands.";
-    recommends => "recommends", "mosaicd_recommends_total", true,
+    recommends => "recommends", "mosaicd_recommends_total",
         "Requests that were recommend commands.";
-    errors => "errors", "mosaicd_errors_total", false,
+    errors => "errors", "mosaicd_errors_total",
         "Requests answered with err.";
-    too_long => "too_long", "mosaicd_too_long_total", false,
+    too_long => "too_long", "mosaicd_too_long_total",
         "Over-long request lines refused (excluded from the latency histogram).";
-    busy => "busy", "mosaicd_busy_total", false,
+    busy => "busy", "mosaicd_busy_total",
         "Connections rejected with busy (admission queue full).";
-    queue_depth => "queue_depth", "mosaicd_queue_depth", false,
+    queue_depth => "queue_depth", "mosaicd_queue_depth",
         "Admission-queue depth at scrape time.";
-    connections => "connections", "mosaicd_connections", false,
+    connections => "connections", "mosaicd_connections",
         "Connections currently multiplexed by the readiness loop.";
-    registry.hits => "registry_hits", "mosaicd_registry_hits_total", false,
+    registry.hits => "registry_hits", "mosaicd_registry_hits_total",
         "Registry lookups answered from memory.";
-    registry.misses => "registry_misses", "mosaicd_registry_misses_total", false,
+    registry.misses => "registry_misses", "mosaicd_registry_misses_total",
         "Registry lookups that required a fit or disk load.";
-    registry.disk_loads => "registry_disk_loads", "mosaicd_registry_disk_loads_total", false,
+    registry.disk_loads => "registry_disk_loads", "mosaicd_registry_disk_loads_total",
         "Registry misses satisfied from the on-disk store.";
-    registry.fitting => "registry_fitting", "mosaicd_registry_fitting", false,
+    registry.fitting => "registry_fitting", "mosaicd_registry_fitting",
         "Model fits currently in flight (singleflight slots).";
     registry.sampled_rejections => "registry_sampled_rejections",
-        "mosaicd_registry_sampled_rejections_total", false,
+        "mosaicd_registry_sampled_rejections_total",
         "Sampled batteries rejected by the validation gate (fell back to full).";
-    cache.hits => "pred_cache_hits", "mosaicd_prediction_cache_hits_total", false,
+    cache.hits => "pred_cache_hits", "mosaicd_prediction_cache_hits_total",
         "Predictions answered from the bounded cache.";
-    cache.misses => "pred_cache_misses", "mosaicd_prediction_cache_misses_total", false,
+    cache.misses => "pred_cache_misses", "mosaicd_prediction_cache_misses_total",
         "Predictions that ran the partial simulation.";
-    pred_cache_len => "pred_cache_len", "mosaicd_prediction_cache_len", false,
+    pred_cache_len => "pred_cache_len", "mosaicd_prediction_cache_len",
         "Entries held by the prediction cache at scrape time.";
-    rec_cache.hits => "rec_cache_hits", "mosaicd_recommend_cache_hits_total", true,
+    rec_cache.hits => "rec_cache_hits", "mosaicd_recommend_cache_hits_total",
         "Recommendations answered from the bounded cache.";
-    rec_cache.misses => "rec_cache_misses", "mosaicd_recommend_cache_misses_total", true,
+    rec_cache.misses => "rec_cache_misses", "mosaicd_recommend_cache_misses_total",
         "Recommendations that ran candidate exploration and scoring.";
 }
 

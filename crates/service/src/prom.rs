@@ -8,7 +8,7 @@
 //! produces (render→parse→render is a fixed point) and never panics on
 //! arbitrary input, which the property suite exercises.
 
-use crate::metrics::{Row, StatsSnapshot, BUCKET_BOUNDS_US, ROWS};
+use crate::metrics::{StatsSnapshot, BUCKET_BOUNDS_US, ROWS};
 
 /// Aggregate span totals for one stage, one clock domain.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,9 +28,6 @@ pub struct StageEntry {
 pub struct MetricsReport {
     /// The same snapshot the `stats` verb serves.
     pub stats: StatsSnapshot,
-    /// Per-shard occupancy of the prediction cache, in shard-index
-    /// order (the `mosaicd_prediction_cache_shard_len` series).
-    pub pred_cache_shard_lens: Vec<u64>,
     /// Wall-domain stage totals (request-path stages, µs).
     pub wall_stages: Vec<StageEntry>,
     /// Sim-domain stage totals (partial-simulation stages, cycles).
@@ -43,7 +40,6 @@ pub struct MetricsReport {
     pub traces_dropped: u64,
 }
 
-const SHARD_LEN: &str = "mosaicd_prediction_cache_shard_len";
 const HISTOGRAM: &str = "mosaicd_request_latency_us";
 const STAGE_TICKS: &str = "mosaicd_stage_ticks_total";
 const STAGE_SPANS: &str = "mosaicd_stage_spans_total";
@@ -69,12 +65,6 @@ const RING: [RingScalar; 3] = [
         |r| r.traces_dropped,
     ),
 ];
-
-/// The [`ROWS`] exposed before the per-shard cache series (`late` is
-/// false) or after it (`late` is true), in table order.
-fn rows(late: bool) -> impl Iterator<Item = &'static Row> {
-    ROWS.iter().filter(move |row| row.late == late)
-}
 
 /// Canonical `le` label for a bucket bound (`u64::MAX` is the unbounded
 /// bucket, spelt `+Inf` in Prometheus).
@@ -108,18 +98,7 @@ fn push_scalar(out: &mut String, name: &str, help: &str, value: u64) {
 pub fn render_metrics(report: &MetricsReport) -> String {
     let s = &report.stats;
     let mut out = String::new();
-    for row in rows(false) {
-        push_scalar(&mut out, row.name, row.help, (row.get)(s));
-    }
-    push_help(
-        &mut out,
-        SHARD_LEN,
-        "Entries per prediction-cache shard at scrape time.",
-    );
-    for (i, len) in report.pred_cache_shard_lens.iter().enumerate() {
-        out.push_str(&format!("{SHARD_LEN}{{shard=\"{i}\"}} {len}\n"));
-    }
-    for row in rows(true) {
+    for row in ROWS {
         push_scalar(&mut out, row.name, row.help, (row.get)(s));
     }
 
@@ -272,17 +251,7 @@ pub fn parse_metrics(text: &str) -> Result<MetricsReport, String> {
     }
     let mut iter = samples.into_iter().peekable();
     let mut stats = StatsSnapshot::default();
-    for row in rows(false) {
-        *(row.get_mut)(&mut stats) = next_plain(&mut iter, row.name)?;
-    }
-    let mut pred_cache_shard_lens = Vec::new();
-    for (i, (labels, len)) in next_run(&mut iter, SHARD_LEN)?.into_iter().enumerate() {
-        if labels != [("shard".to_string(), i.to_string())] {
-            return Err(format!("cache shard label mismatch (want shard=\"{i}\")"));
-        }
-        pred_cache_shard_lens.push(len);
-    }
-    for row in rows(true) {
+    for row in ROWS {
         *(row.get_mut)(&mut stats) = next_plain(&mut iter, row.name)?;
     }
 
@@ -358,7 +327,6 @@ pub fn parse_metrics(text: &str) -> Result<MetricsReport, String> {
 
     Ok(MetricsReport {
         stats,
-        pred_cache_shard_lens,
         wall_stages,
         sim_stages,
         traces_buffered,
@@ -400,7 +368,6 @@ mod tests {
                 pred_cache_len: 9,
                 buckets,
             },
-            pred_cache_shard_lens: vec![4, 0, 5, 0],
             wall_stages: vec![
                 StageEntry {
                     stage: "read".to_string(),
@@ -444,8 +411,6 @@ mod tests {
             assert!(text.contains(&needle), "missing {needle:?} in:\n{text}");
         }
         for needle in [
-            "mosaicd_prediction_cache_shard_len{shard=\"0\"} 4",
-            "mosaicd_prediction_cache_shard_len{shard=\"2\"} 5",
             "mosaicd_request_latency_us_bucket{le=\"50\"} 5",
             "mosaicd_request_latency_us_bucket{le=\"+Inf\"} 8",
             "mosaicd_request_latency_us_count 8",
@@ -490,7 +455,6 @@ mod tests {
                 "mosaicd_request_latency_us_count 9",
             ),
             good.replace("domain=\"sim\"", "domain=\"cpu\""),
-            good.replace("shard=\"2\"", "shard=\"7\""),
             format!("{good}mosaicd_requests_total 1\n"),
         ] {
             assert!(parse_metrics(&bad).is_err(), "accepted:\n{bad}");

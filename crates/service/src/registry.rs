@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::Arc;
 
 use harness::{Grid, MeasureContext};
 use machine::Platform;
@@ -40,12 +40,11 @@ use mosmodel::persist::{
 use mosmodel::ModelKind;
 use vmcore::parallel::{Flight, Singleflight};
 
-use crate::cache::{pair_shard, FifoCache, ShardedPredictionCache, CACHE_SHARDS};
+use crate::cache::{FifoCache, PredictionCache};
 use crate::protocol::RecommendReply;
 use crate::ServiceError;
 
-/// Default bound on the prediction cache (see
-/// [`ShardedPredictionCache`]).
+/// Default bound on the prediction cache (see [`PredictionCache`]).
 pub const DEFAULT_PREDICTION_CACHE: usize = 1024;
 
 /// Default bound on the recommendation cache: recommendations are
@@ -135,29 +134,19 @@ pub struct PairInfo {
     pub cv_err: f64,
 }
 
-/// One shard of the entries map; a failed fit carries its
-/// [`ServiceError`].
-type EntryShard = Singleflight<(String, String), Arc<RegistryEntry>, ServiceError>;
-
 /// Fits, persists, and memoizes models per `(workload, platform)`.
-///
-/// The entries map is sharded per `(workload, platform)` (FNV-1a via
-/// [`pair_shard`], the same selector the prediction cache uses), so
-/// warm lookups for distinct pairs read distinct locks instead of
-/// contending on one global map. Shard membership is a pure function of
-/// the pair, and cross-shard listings merge through a `BTreeMap`, so
-/// sharding never perturbs determinism.
 #[derive(Debug)]
 pub struct ModelRegistry {
     grid: Grid,
     store_dir: Option<PathBuf>,
-    entries: Vec<EntryShard>,
-    cache: ShardedPredictionCache,
+    /// Fitted entries per pair; a failed fit carries its [`ServiceError`].
+    entries: Singleflight<(String, String), Arc<RegistryEntry>, ServiceError>,
+    cache: PredictionCache,
     rec_cache: FifoCache<RecommendKey, RecommendReply>,
-    // K-fold CV error per fitted pair, memoized because one report costs
-    // CV_FOLDS refits. BTreeMap for the same determinism reason as
-    // `entries`.
-    cv_errors: RwLock<BTreeMap<(String, String), f64>>,
+    /// K-fold CV error per pair, memoized because one report costs
+    /// `CV_FOLDS` refits; concurrent first callers share one run. A
+    /// panicking run drops its message (`()`), answered as `INFINITY`.
+    cv_errors: Singleflight<(String, String), f64, ()>,
     hits: AtomicU64,
     disk_loads: AtomicU64,
     misses: AtomicU64,
@@ -182,12 +171,10 @@ impl ModelRegistry {
         ModelRegistry {
             grid,
             store_dir,
-            entries: (0..CACHE_SHARDS)
-                .map(|_| Singleflight::new(ServiceError::FitFailed))
-                .collect(),
-            cache: ShardedPredictionCache::new(cache_capacity),
+            entries: Singleflight::new(ServiceError::FitFailed),
+            cache: FifoCache::new(cache_capacity),
             rec_cache: FifoCache::new(DEFAULT_RECOMMEND_CACHE),
-            cv_errors: RwLock::new(BTreeMap::new()),
+            cv_errors: Singleflight::new(drop),
             hits: AtomicU64::new(0),
             disk_loads: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -218,29 +205,9 @@ impl ModelRegistry {
         &self.grid
     }
 
-    /// The bounded, sharded prediction cache in front of the simulation
-    /// path.
-    pub fn prediction_cache(&self) -> &ShardedPredictionCache {
+    /// The bounded prediction cache in front of the simulation path.
+    pub fn prediction_cache(&self) -> &PredictionCache {
         &self.cache
-    }
-
-    /// The shard of the entries map that owns `key`. The selector
-    /// reduces mod the shard count, so the lookup is total for the
-    /// nonempty shard vector the constructor builds; the static empty
-    /// shard is unreachable insurance, not a code path.
-    fn entries_shard(&self, key: &(String, String)) -> &EntryShard {
-        static FALLBACK: EntryShard = Singleflight::new(ServiceError::FitFailed);
-        self.entries
-            .get(pair_shard(&key.0, &key.1, self.entries.len()))
-            .unwrap_or(&FALLBACK)
-    }
-
-    /// Pairs resident per entries shard, in shard-index order.
-    pub fn entry_shard_lens(&self) -> Vec<usize> {
-        self.entries
-            .iter()
-            .map(|shard| shard.snapshot().len())
-            .collect()
     }
 
     /// The bounded recommendation cache in front of the candidate
@@ -251,65 +218,46 @@ impl ModelRegistry {
 
     /// The pair's maximal K-fold cross-validation error (paper Table 6),
     /// memoized: the first call pays `CV_FOLDS` Mosmodel refits over the
-    /// pair's battery dataset. Returns `f64::INFINITY` when CV cannot be
-    /// run (too few samples, or every fold fails to fit) — the honest
+    /// pair's battery dataset, and concurrent first calls share that one
+    /// run. Returns `f64::INFINITY` when CV cannot be run (too few
+    /// samples, every fold fails to fit, or the run panics) — the honest
     /// "no confidence" answer, which routes `recommend` to its
     /// active-learning branch.
     pub fn cv_error(&self, workload: &str, platform: &'static Platform) -> f64 {
         let key = (workload.to_string(), platform.name.to_string());
-        if let Some(&err) = self
-            .cv_errors
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            return err;
-        }
-        let dataset = self.grid.entry(workload, platform).dataset();
-        let folds = CV_FOLDS.min(dataset.len());
-        let err = if folds < 2 {
-            f64::INFINITY
-        } else {
-            k_fold(ModelKind::Mosmodel, &dataset, folds)
-                .map_or(f64::INFINITY, |report| report.max_err)
+        let run = || {
+            let dataset = self.grid.entry(workload, platform).dataset();
+            let folds = CV_FOLDS.min(dataset.len());
+            Ok(if folds < 2 {
+                f64::INFINITY
+            } else {
+                k_fold(ModelKind::Mosmodel, &dataset, folds)
+                    .map_or(f64::INFINITY, |report| report.max_err)
+            })
         };
-        self.cv_errors
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, err);
-        err
+        match self.cv_errors.get_or_run(&key, run) {
+            Flight::Hit(err) => err,
+            Flight::Waited(result) | Flight::Ran(result) => result.unwrap_or(f64::INFINITY),
+        }
     }
 
     /// Every pair the registry currently knows, ready or mid-fit, in
-    /// deterministic key order. CV errors come from the memo only (a
-    /// listing must never trigger refits); pairs whose `recommend` has
-    /// not run yet report `NaN`.
+    /// key order. CV errors come from the memo only (a listing must
+    /// never trigger refits); pairs whose CV has not finished report
+    /// `NaN`.
     pub fn pairs(&self) -> Vec<PairInfo> {
-        let cv = self
-            .cv_errors
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        // Merge the shards through a BTreeMap so the listing stays in
-        // deterministic key order regardless of shard assignment.
-        let mut merged: BTreeMap<(String, String), (bool, usize)> = BTreeMap::new();
-        for shard in &self.entries {
-            for (pair, entry) in shard.snapshot() {
-                let status = entry.map_or((false, 0), |e| (true, e.bundle.models.len()));
-                merged.insert(pair, status);
-            }
-        }
-        merged
+        let cv: BTreeMap<_, _> = self.cv_errors.snapshot().into_iter().collect();
+        self.entries
+            .snapshot()
             .into_iter()
-            .map(|((workload, platform), (ready, models))| {
-                let cv_err = cv
-                    .get(&(workload.clone(), platform.clone()))
-                    .copied()
-                    .unwrap_or(f64::NAN);
+            .map(|(pair, entry)| {
+                let cv_err = cv.get(&pair).copied().flatten().unwrap_or(f64::NAN);
+                let (workload, platform) = pair;
                 PairInfo {
                     workload,
                     platform,
-                    ready,
-                    models,
+                    ready: entry.is_some(),
+                    models: entry.map_or(0, |e| e.bundle.models.len()),
                     cv_err,
                 }
             })
@@ -337,7 +285,7 @@ impl ModelRegistry {
             let _in_flight = FitInFlight::enter(&self.fitting);
             self.build_entry(workload, platform)
         };
-        match self.entries_shard(&key).get_or_run(&key, fit) {
+        match self.entries.get_or_run(&key, fit) {
             Flight::Hit(entry) | Flight::Waited(Ok(entry)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Ok(entry)
@@ -492,11 +440,6 @@ mod tests {
         let b = registry.entry("gups/8GB", platform).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(registry.counters().hits, 1);
-
-        // The pair lives in exactly one of the entry shards.
-        let shard_lens = registry.entry_shard_lens();
-        assert_eq!(shard_lens.len(), CACHE_SHARDS);
-        assert_eq!(shard_lens.iter().sum::<usize>(), 1);
 
         // Every anchor-complete battery admits all nine models.
         assert_eq!(a.bundle.models.len(), ModelKind::ALL.len());
@@ -687,5 +630,38 @@ mod tests {
         let cv = registry.cv_error("gups/8GB", platform);
         let info = registry.pairs().remove(0);
         assert_eq!(info.cv_err.to_bits(), cv.to_bits());
+    }
+    #[test]
+    fn one_pair_can_fill_the_whole_prediction_cache() {
+        const N: usize = 1024;
+        let registry = ModelRegistry::with_cache_capacity(Grid::in_memory(tiny_speed()), None, N);
+        let cache = registry.prediction_cache();
+        let key = |i: usize| {
+            let layout = format!("2MB[{i}]");
+            (
+                "gups/8GB".to_string(),
+                "SandyBridge".to_string(),
+                layout,
+                "mosmodel",
+            )
+        };
+        let prediction = |i: usize| crate::protocol::Prediction {
+            runtime_cycles: i as u64,
+            stlb_hits: 1,
+            stlb_misses: 2,
+            walk_cycles: 3,
+            model: ModelKind::Mosmodel,
+            predicted: i as f64,
+            max_err: 0.1,
+            geo_mean_err: 0.05,
+        };
+        for i in 0..=N {
+            cache.insert(key(i), prediction(i));
+        }
+        assert_eq!(cache.len(), N, "one pair must hold the full capacity");
+        assert_eq!(cache.get(&key(0)), None, "FIFO evicts the first layout");
+        for i in 1..=N {
+            assert_eq!(cache.get(&key(i)), Some(prediction(i)), "layout {i}");
+        }
     }
 }

@@ -756,13 +756,6 @@ fn metrics_report(shared: &Shared) -> MetricsReport {
     };
     MetricsReport {
         stats,
-        pred_cache_shard_lens: shared
-            .registry
-            .prediction_cache()
-            .shard_lens()
-            .into_iter()
-            .map(|len| len as u64)
-            .collect(),
         wall_stages: entries(&shared.wall_stages),
         sim_stages: entries(&shared.sim_stages),
         traces_buffered: shared.traces.len() as u64,

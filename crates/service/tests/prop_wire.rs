@@ -53,22 +53,18 @@ fn stage_entries_strategy() -> impl Strategy<Value = Vec<StageEntry>> {
 fn report_strategy() -> impl Strategy<Value = MetricsReport> {
     (
         snapshot_strategy(),
-        prop::collection::vec(any::<u64>(), 0..10),
         stage_entries_strategy(),
         stage_entries_strategy(),
         (any::<u64>(), any::<u64>(), any::<u64>()),
     )
-        .prop_map(
-            |(stats, pred_cache_shard_lens, wall_stages, sim_stages, ring)| MetricsReport {
-                stats,
-                pred_cache_shard_lens,
-                wall_stages,
-                sim_stages,
-                traces_buffered: ring.0,
-                trace_capacity: ring.1,
-                traces_dropped: ring.2,
-            },
-        )
+        .prop_map(|(stats, wall_stages, sim_stages, ring)| MetricsReport {
+            stats,
+            wall_stages,
+            sim_stages,
+            traces_buffered: ring.0,
+            trace_capacity: ring.1,
+            traces_dropped: ring.2,
+        })
 }
 
 fn trace_strategy() -> impl Strategy<Value = Trace> {

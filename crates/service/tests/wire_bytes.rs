@@ -41,7 +41,6 @@ fn snapshot() -> StatsSnapshot {
 fn report() -> MetricsReport {
     MetricsReport {
         stats: snapshot(),
-        pred_cache_shard_lens: vec![119, 120],
         wall_stages: vec![StageEntry {
             stage: "read".to_string(),
             total_ticks: 121,
@@ -78,6 +77,9 @@ mosaicd_requests_total 101
 # HELP mosaicd_predicts_total Requests that were predict commands.
 # TYPE mosaicd_predicts_total counter
 mosaicd_predicts_total 102
+# HELP mosaicd_recommends_total Requests that were recommend commands.
+# TYPE mosaicd_recommends_total counter
+mosaicd_recommends_total 103
 # HELP mosaicd_errors_total Requests answered with err.
 # TYPE mosaicd_errors_total counter
 mosaicd_errors_total 104
@@ -117,13 +119,6 @@ mosaicd_prediction_cache_misses_total 115
 # HELP mosaicd_prediction_cache_len Entries held by the prediction cache at scrape time.
 # TYPE mosaicd_prediction_cache_len gauge
 mosaicd_prediction_cache_len 118
-# HELP mosaicd_prediction_cache_shard_len Entries per prediction-cache shard at scrape time.
-# TYPE mosaicd_prediction_cache_shard_len gauge
-mosaicd_prediction_cache_shard_len{shard="0"} 119
-mosaicd_prediction_cache_shard_len{shard="1"} 120
-# HELP mosaicd_recommends_total Requests that were recommend commands.
-# TYPE mosaicd_recommends_total counter
-mosaicd_recommends_total 103
 # HELP mosaicd_recommend_cache_hits_total Recommendations answered from the bounded cache.
 # TYPE mosaicd_recommend_cache_hits_total counter
 mosaicd_recommend_cache_hits_total 116

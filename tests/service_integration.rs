@@ -644,11 +644,6 @@ fn metrics_exposition_covers_stats_and_roundtrips() {
         report.stats.connections, 1,
         "exactly this client's connection is open"
     );
-    assert_eq!(
-        report.pred_cache_shard_lens.iter().sum::<u64>(),
-        report.stats.pred_cache_len,
-        "shard lengths must sum to the cache length"
-    );
     assert!(report.traces_buffered > 0, "requests were traced");
     assert_eq!(report.trace_capacity, 256, "default ring capacity");
 
@@ -681,7 +676,6 @@ fn metrics_exposition_covers_stats_and_roundtrips() {
         assert!(text.contains(&needle), "exposition is missing {needle:?}");
     }
     for needle in [
-        "mosaicd_prediction_cache_shard_len{shard=\"0\"}",
         "mosaicd_request_latency_us_bucket{le=\"50\"}",
         "mosaicd_request_latency_us_bucket{le=\"+Inf\"}",
         "mosaicd_request_latency_us_count ",
