@@ -1,7 +1,8 @@
 //! Deliberately defective code: every function breaks exactly one lint.
 //! It is never built by the workspace, only linted (see `Cargo.toml`).
 
-// The panic family, as the request-path crates and modules deny it.
+// The panic family and the integer-safety pair, as the request-path
+// crates and modules and the on-disk codecs deny them.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -9,7 +10,9 @@
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation
 )]
 
 use std::collections::HashMap;
@@ -41,6 +44,16 @@ pub fn todos() {
 
 pub fn unimplementeds() {
     unimplemented!("planted");
+}
+
+/// `arithmetic_side_effects`: a sum that wraps in release builds.
+pub fn adds(a: u64, b: u64) -> u64 {
+    a + b
+}
+
+/// `cast_possible_truncation`: a `u64` count narrowed with `as`.
+pub fn truncates(n: u64) -> u32 {
+    n as u32
 }
 
 /// `disallowed_types`: a randomly seeded hasher.

@@ -11,6 +11,11 @@
 // A report must be a pure function of the measured numbers: no clock
 // reads or hashed collections, whatever the crate allows.
 #![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+// Nor may a parsed count wrap or truncate on the way in.
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
 
 use std::fmt::Write as _;
 
@@ -349,8 +354,10 @@ pub fn render_report(report: &BenchReport) -> String {
 /// field per line; not a general JSON parser).
 fn field<'a>(text: &'a str, key: &str) -> Result<&'a str, String> {
     let needle = format!("\"{key}\":");
-    let at = text.find(&needle).ok_or_else(|| format!("missing {key}"))?;
-    let rest = text[at + needle.len()..].trim_start();
+    let (_, rest) = text
+        .split_once(&needle)
+        .ok_or_else(|| format!("missing {key}"))?;
+    let rest = rest.trim_start();
     let end = rest
         .find(['\n', ','])
         .ok_or_else(|| format!("unterminated {key}"))?;

@@ -32,6 +32,7 @@
 pub mod casestudy;
 pub mod experiment;
 pub mod figures;
+mod grid_codec;
 pub mod methodology;
 pub mod report;
 pub mod sampled;

@@ -16,7 +16,9 @@
         clippy::panic,
         clippy::unreachable,
         clippy::todo,
-        clippy::unimplemented
+        clippy::unimplemented,
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation
     )
 )]
 
@@ -75,28 +77,24 @@ fn k_fold_on(
     // `parallel_map` cannot drop a fold (a panicking fit propagates out
     // of its scope), so `outcomes` holds all K in fold order.
     let outcomes = parallel_map(&folds, jobs, |_, &fold| {
-        let train_idx: Vec<usize> = (0..data.len()).filter(|i| i % k != fold).collect();
-        let test_idx: Vec<usize> = (0..data.len()).filter(|i| i % k == fold).collect();
+        let train_idx: Vec<usize> = (0..data.len())
+            .filter(|i| i.checked_rem(k) != Some(fold))
+            .collect();
+        let test_idx: Vec<usize> = (fold..data.len()).step_by(k).collect();
         let fitted = model.fit(&data.subset(&train_idx))?;
         Ok(max_err(&fitted, &data.subset(&test_idx)))
     })
     .unwrap_or_default();
+    let evaluated = outcomes.iter().filter(|o| o.is_ok()).count();
+    let skipped = outcomes.iter().filter(|o| o.is_err()).count();
     let mut worst = 0.0f64;
-    let mut evaluated = 0;
-    let mut skipped = 0;
     let mut last_err = None;
     for outcome in outcomes {
         match outcome {
             // `max_err` never returns NaN, so `f64::max` keeps every
             // fold's error.
-            Ok(err) => {
-                worst = worst.max(err);
-                evaluated += 1;
-            }
-            Err(e) => {
-                skipped += 1;
-                last_err = Some(e);
-            }
+            Ok(err) => worst = worst.max(err),
+            Err(e) => last_err = Some(e),
         }
     }
     if evaluated == 0 {

@@ -27,6 +27,13 @@
 //! Decoding rejects unknown versions: readers never guess at a format
 //! they were not written for.
 
+// Lengths and counts decoded from a store file must not wrap or
+// truncate: integer operations here are written out as checked ones.
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
+
 use std::fmt;
 
 use crate::models::{ClosedForm, Inner};
@@ -187,7 +194,8 @@ pub fn encode_bundle(bundle: &ModelBundle) -> String {
     out.push_str(&format!("platform\t{}\n", bundle.platform));
     for entry in &bundle.models {
         out.push_str(&format!(
-            // audit:allow(bit-exactness) the {:.3e} fields are a trailing human-readable comment; the parsed values are the hex-bit columns
+            // The `{:.3e}` fields are a trailing human-readable comment;
+            // the parsed values are the hex-bit columns.
             "model\t{}\t{}\t{}\t# max={:.3e} geo={:.3e}\n",
             entry.model.kind().name(),
             f64_hex(entry.max_err),
@@ -229,7 +237,7 @@ pub fn encode_bundle(bundle: &ModelBundle) -> String {
 /// name, wrong weight count — yields a [`PersistError`]; the decoder
 /// never panics on malformed input.
 pub fn decode_bundle(text: &str) -> Result<ModelBundle, PersistError> {
-    let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l));
+    let mut lines = (1usize..).zip(text.lines());
 
     let (_, header) = lines.next().ok_or(PersistError::BadMagic)?;
     let version = header.strip_prefix(MAGIC).ok_or(PersistError::BadMagic)?;
@@ -465,6 +473,24 @@ mod tests {
             assert_eq!(back.to_bits(), v.to_bits(), "{s} drifted");
         }
         assert!(parse_f64_shortest("not-a-float").is_none());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Both float codecs over arbitrary bit patterns: the hex codec
+        /// keeps every pattern, NaN payloads included, and the shortest
+        /// codec keeps every non-NaN one. The grid cache and the bench
+        /// report write their floats with the shortest codec.
+        #[test]
+        fn float_codecs_roundtrip_arbitrary_bit_patterns(bits in proptest::prelude::any::<u64>()) {
+            let v = f64::from_bits(bits);
+            proptest::prop_assert_eq!(parse_f64_hex(1, &f64_hex(v)).map(f64::to_bits), Ok(bits));
+            if !v.is_nan() {
+                let back = parse_f64_shortest(&fmt_f64_shortest(v)).map(f64::to_bits);
+                proptest::prop_assert_eq!(back, Some(bits));
+            }
+        }
     }
 
     #[test]

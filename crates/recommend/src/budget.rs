@@ -34,7 +34,8 @@ impl Budget {
     pub fn admits(&self, layout: &vmcore::MemoryLayout) -> bool {
         let (mut need_2m, mut need_1g) = (0u64, 0u64);
         for w in layout.windows() {
-            let pages = w.region.len() / w.size.bytes();
+            // Page sizes are never zero, so the division never fails.
+            let pages = w.region.len().checked_div(w.size.bytes()).unwrap_or(0);
             match w.size {
                 PageSize::Huge2M => need_2m = need_2m.saturating_add(pages),
                 PageSize::Huge1G => need_1g = need_1g.saturating_add(pages),
@@ -85,7 +86,10 @@ impl std::error::Error for BudgetError {}
 /// Pages of `size` the outward-aligned pool can hold — the admissible
 /// ceiling a budget is validated against.
 fn pool_capacity(pool: Region, size: PageSize) -> u64 {
-    pool.align_outward(size).len() / size.bytes()
+    pool.align_outward(size)
+        .len()
+        .checked_div(size.bytes())
+        .unwrap_or(0)
 }
 
 /// Parses a budget token against a concrete pool region.

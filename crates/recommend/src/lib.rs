@@ -43,7 +43,9 @@
         clippy::panic,
         clippy::unreachable,
         clippy::todo,
-        clippy::unimplemented
+        clippy::unimplemented,
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation
     )
 )]
 
@@ -73,7 +75,7 @@ pub fn render_layout_spec(layout: &MemoryLayout) -> String {
         .filter_map(|w| {
             let clipped = w.region.intersection(&pool)?;
             let start = clipped.start().raw().saturating_sub(pool.start().raw());
-            let end = start + clipped.len();
+            let end = start.saturating_add(clipped.len());
             let size = match w.size {
                 PageSize::Huge2M => "2m",
                 PageSize::Huge1G => "1g",

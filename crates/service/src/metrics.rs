@@ -252,10 +252,10 @@ impl StatsSnapshot {
         // The rank is computed in u128: `total * q` overflows u64 once
         // the histogram holds more than u64::MAX / 100 samples, which
         // would silently wrap to a tiny rank and report the first bucket.
-        let rank = (total * u128::from(q)).div_ceil(100).max(1);
+        let rank = total.saturating_mul(u128::from(q)).div_ceil(100).max(1);
         let mut seen: u128 = 0;
         for (count, bound) in self.buckets.iter().zip(BUCKET_BOUNDS_US) {
-            seen += u128::from(*count);
+            seen = seen.saturating_add(u128::from(*count));
             if seen >= rank {
                 return bound;
             }

@@ -79,6 +79,23 @@ pub enum Request {
 /// How many traces `trace` returns when no count is given.
 pub const DEFAULT_TRACE_COUNT: usize = 16;
 
+/// Every request verb, the first word of a request line. A verb is
+/// served only when it is listed here, and `tests/wire_conformance.rs`
+/// walks this table: each verb must parse, round-trip through its
+/// [`Client`](crate::client::Client) method against a live server, be
+/// answered through the `mosaic` CLI, and appear in the README's wire
+/// transcript.
+pub const VERBS: [&str; 8] = [
+    "predict",
+    "warm",
+    "stats",
+    "metrics",
+    "trace",
+    "recommend",
+    "pairs",
+    "batch",
+];
+
 /// Looks a model kind up by its wire name (`pham`, `poly2`, `mosmodel`, ...).
 pub fn model_by_name(name: &str) -> Option<ModelKind> {
     ModelKind::ALL.into_iter().find(|k| k.name() == name)
@@ -92,7 +109,11 @@ pub fn model_by_name(name: &str) -> Option<ModelKind> {
 /// unknown verbs, wrong arity, or an unrecognized model name.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let mut words = line.split_ascii_whitespace();
-    match words.next() {
+    let verb = words.next();
+    if let Some(verb) = verb.filter(|v| !VERBS.contains(v)) {
+        return Err(format!("unknown command {verb:?}"));
+    }
+    match verb {
         Some("predict") => {
             let workload = words.next().ok_or("predict needs <workload>")?.to_string();
             let platform = words.next().ok_or("predict needs <platform>")?.to_string();

@@ -100,6 +100,9 @@ const POLL_WINDOW_MS: i32 = 100;
 /// client trickling a byte at a time cannot pin it either.
 const BUSY_DRAIN_CAP: usize = 4096;
 
+/// Size of the scratch buffer [`reject_busy`] drains through.
+const BUSY_DRAIN_CHUNK: usize = 256;
+
 /// How a [`Server`] listens and schedules work.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -401,8 +404,8 @@ fn reject_busy(mut stream: TcpStream, shared: &Shared) {
     shared.metrics.record_busy();
     let _ = stream.write_all(b"busy\n");
     let _ = stream.set_read_timeout(Some(Duration::from_millis(10)));
-    let mut scratch = [0u8; 256];
-    for _ in 0..BUSY_DRAIN_CAP / scratch.len() {
+    let mut scratch = [0u8; BUSY_DRAIN_CHUNK];
+    for _ in 0..BUSY_DRAIN_CAP / BUSY_DRAIN_CHUNK {
         if matches!(stream.read(&mut scratch), Ok(0) | Err(_)) {
             break;
         }

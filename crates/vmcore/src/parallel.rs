@@ -37,7 +37,9 @@
         clippy::panic,
         clippy::unreachable,
         clippy::todo,
-        clippy::unimplemented
+        clippy::unimplemented,
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation
     )
 )]
 
@@ -284,6 +286,25 @@ mod tests {
     /// Callers racing for one key in the singleflight tests.
     const RACERS: usize = 8;
 
+    /// Runs `test` on its own thread and fails if it has not finished
+    /// within a minute, so a memo test that deadlocks (say, on a lock
+    /// held across a run) fails instead of hanging the suite.
+    fn within_a_minute(test: impl FnOnce() + Send + 'static) {
+        use std::sync::mpsc::{self, RecvTimeoutError};
+        let limit = std::time::Duration::from_secs(60);
+        let (done, finished) = mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            test();
+            let _ = done.send(());
+        });
+        if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(limit) {
+            panic!("no result within {limit:?}: deadlock");
+        }
+        if let Err(panic) = runner.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+
     /// How the caller that claims the raced key finishes its run.
     type Outcome = fn() -> Result<u64, String>;
 
@@ -324,59 +345,65 @@ mod tests {
 
     #[test]
     fn racing_callers_share_one_run() {
-        let memo: Singleflight<u32, u64, String> = Singleflight::new(|msg| msg);
-        let flights = race(&memo, || Ok(42));
-        let ran = flights
-            .iter()
-            .filter(|f| matches!(f, Flight::Ran(Ok(42))))
-            .count();
-        let waited = flights
-            .iter()
-            .filter(|f| matches!(f, Flight::Waited(Ok(42))))
-            .count();
-        assert_eq!((ran, waited), (1, RACERS - 1), "{flights:?}");
-        // The value is kept: the next caller is a hit and runs nothing.
-        let again = memo.get_or_run(&7, || Err("warm keys must not run".to_string()));
-        assert!(matches!(again, Flight::Hit(42)), "{again:?}");
-        assert_eq!(memo.snapshot(), vec![(7, Some(42))]);
+        within_a_minute(|| {
+            let memo: Singleflight<u32, u64, String> = Singleflight::new(|msg| msg);
+            let flights = race(&memo, || Ok(42));
+            let ran = flights
+                .iter()
+                .filter(|f| matches!(f, Flight::Ran(Ok(42))))
+                .count();
+            let waited = flights
+                .iter()
+                .filter(|f| matches!(f, Flight::Waited(Ok(42))))
+                .count();
+            assert_eq!((ran, waited), (1, RACERS - 1), "{flights:?}");
+            // The value is kept: the next caller is a hit and runs nothing.
+            let again = memo.get_or_run(&7, || Err("warm keys must not run".to_string()));
+            assert!(matches!(again, Flight::Hit(42)), "{again:?}");
+            assert_eq!(memo.snapshot(), vec![(7, Some(42))]);
+        });
     }
 
     #[test]
     fn failed_runs_wake_every_waiter_and_allow_a_retry() {
-        let failures: [(Outcome, &str); 2] = [
-            (|| Err("returned error".to_string()), "returned error"),
-            (|| panic!("injected run panic"), "injected run panic"),
-        ];
-        for (outcome, message) in failures {
-            let memo: Singleflight<u32, u64, String> = Singleflight::new(|msg| msg);
-            let flights = race(&memo, outcome);
-            let ran = flights
-                .iter()
-                .filter(|f| matches!(f, Flight::Ran(Err(m)) if m == message))
-                .count();
-            let waited = flights
-                .iter()
-                .filter(|f| matches!(f, Flight::Waited(Err(m)) if m == message))
-                .count();
-            assert_eq!((ran, waited), (1, RACERS - 1), "{flights:?}");
-            // Nothing is left behind, so the next caller runs again.
-            assert!(memo.snapshot().is_empty());
-            let retry = memo.get_or_run(&7, || Ok(5));
-            assert!(matches!(retry, Flight::Ran(Ok(5))), "{retry:?}");
-        }
+        within_a_minute(|| {
+            let failures: [(Outcome, &str); 2] = [
+                (|| Err("returned error".to_string()), "returned error"),
+                (|| panic!("injected run panic"), "injected run panic"),
+            ];
+            for (outcome, message) in failures {
+                let memo: Singleflight<u32, u64, String> = Singleflight::new(|msg| msg);
+                let flights = race(&memo, outcome);
+                let ran = flights
+                    .iter()
+                    .filter(|f| matches!(f, Flight::Ran(Err(m)) if m == message))
+                    .count();
+                let waited = flights
+                    .iter()
+                    .filter(|f| matches!(f, Flight::Waited(Err(m)) if m == message))
+                    .count();
+                assert_eq!((ran, waited), (1, RACERS - 1), "{flights:?}");
+                // Nothing is left behind, so the next caller runs again.
+                assert!(memo.snapshot().is_empty());
+                let retry = memo.get_or_run(&7, || Ok(5));
+                assert!(matches!(retry, Flight::Ran(Ok(5))), "{retry:?}");
+            }
+        });
     }
 
     #[test]
     fn a_run_may_use_the_memo_for_another_key() {
-        // With a lock held across the run, the inner call would
-        // deadlock (or panic) on the memo's own lock.
-        let memo: Singleflight<u32, u64, String> = Singleflight::new(|msg| msg);
-        let outer = memo.get_or_run(&1, || match memo.get_or_run(&2, || Ok(20)) {
-            Flight::Ran(inner) => inner.map(|v| v + 1),
-            other => Err(format!("{other:?}")),
+        within_a_minute(|| {
+            // With a lock held across the run, the inner call would
+            // deadlock (or panic) on the memo's own lock.
+            let memo: Singleflight<u32, u64, String> = Singleflight::new(|msg| msg);
+            let outer = memo.get_or_run(&1, || match memo.get_or_run(&2, || Ok(20)) {
+                Flight::Ran(inner) => inner.map(|v| v + 1),
+                other => Err(format!("{other:?}")),
+            });
+            assert!(matches!(outer, Flight::Ran(Ok(21))), "{outer:?}");
+            assert_eq!(memo.snapshot(), vec![(1, Some(21)), (2, Some(20))]);
         });
-        assert!(matches!(outer, Flight::Ran(Ok(21))), "{outer:?}");
-        assert_eq!(memo.snapshot(), vec![(1, Some(21)), (2, Some(20))]);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! mosaic batch <addr> <request>...     # several requests on one wire line
 //! mosaic metrics <addr>                # Prometheus text exposition scrape
 //! mosaic trace <addr> [n]              # dump the last n request traces
-//! mosaic audit [--json | --sarif] [--summary] [--deny] [--root <path>]  # static analysis (CI gate)
 //! mosaic bench [--json] [workload] [platform]  # hot-path throughput + serving latency
 //! ```
 //!
@@ -44,11 +43,10 @@ fn main() {
         Some("batch") => cmd_batch(&args[1..]),
         Some("metrics") => cmd_metrics(args.get(1)),
         Some("trace") => cmd_trace(args.get(1), args.get(2)),
-        Some("audit") => cmd_audit(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
         _ => {
             eprintln!(
-                "usage: mosaic <list | run <workload> <platform> | figure <id> [--csv] | sensitivity <platform> | export <workload> <platform> | describe <workload> <platform> [model] | serve [addr] [--warm <workload>:<platform>]... [--cache-cap <n>] [--jobs <n>] [--sampled[=<w>:<p>:<b>]] | query <addr> ... | recommend <addr> <workload> <platform> <budget> [threshold] | batch <addr> <request>... | metrics <addr> | trace <addr> [n] | audit [--json | --sarif] [--summary] [--deny] [--root <path>] | bench [--json] [workload] [platform]>"
+                "usage: mosaic <list | run <workload> <platform> | figure <id> [--csv] | sensitivity <platform> | export <workload> <platform> | describe <workload> <platform> [model] | serve [addr] [--warm <workload>:<platform>]... [--cache-cap <n>] [--jobs <n>] [--sampled[=<w>:<p>:<b>]] | query <addr> ... | recommend <addr> <workload> <platform> <budget> [threshold] | batch <addr> <request>... | metrics <addr> | trace <addr> [n] | bench [--json] [workload] [platform]>"
             );
             2
         }
@@ -761,114 +759,6 @@ fn cmd_trace(addr: Option<&String>, count: Option<&String>) -> i32 {
             eprintln!("mosaic trace: {e}");
             1
         }
-    }
-}
-
-fn cmd_audit(args: &[String]) -> i32 {
-    const USAGE: &str =
-        "usage: mosaic audit [--json | --sarif] [--summary] [--deny] [--root <path>]";
-    let mut json = false;
-    let mut sarif = false;
-    let mut summary = false;
-    let mut deny = false;
-    let mut root_override: Option<std::path::PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--sarif" => sarif = true,
-            "--summary" => summary = true,
-            "--deny" => deny = true,
-            "--root" => match it.next() {
-                Some(path) => root_override = Some(std::path::PathBuf::from(path)),
-                None => {
-                    eprintln!("{USAGE} (--root needs a path)");
-                    return 2;
-                }
-            },
-            other => {
-                eprintln!("{USAGE} (unknown flag {other:?})");
-                return 2;
-            }
-        }
-    }
-    if json && sarif {
-        eprintln!("{USAGE} (--json and --sarif are mutually exclusive)");
-        return 2;
-    }
-    // Run from the workspace root when invoked via `cargo run`; fall back
-    // to the compile-time manifest dir so the binary works from anywhere.
-    // `--root` overrides both (CI audits the bad fixture tree this way).
-    let root = root_override.unwrap_or_else(|| {
-        if std::path::Path::new("crates").is_dir() {
-            std::path::PathBuf::from(".")
-        } else {
-            std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        }
-    });
-    let report = match audit::audit_workspace(&root) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("mosaic audit: cannot scan {}: {e}", root.display());
-            return 1;
-        }
-    };
-    let diags = &report.diagnostics;
-
-    // A rule's honored waivers may not exceed its declared ceiling; debt
-    // beyond the budget fails `--deny` even with zero findings.
-    let over_budget: Vec<(&str, usize, usize)> = audit::SUPPRESSION_BUDGET
-        .iter()
-        .filter_map(|&(rule, cap)| {
-            let used = report.suppressions.get(rule).copied().unwrap_or(0);
-            (used > cap).then_some((rule, used, cap))
-        })
-        .collect();
-
-    if json {
-        print!("{}", audit::render_json(diags));
-    } else if sarif {
-        let mut rules: Vec<&str> = audit::RULE_IDS.to_vec();
-        rules.push("suppression");
-        print!("{}", audit::render_sarif(diags, &rules));
-    } else {
-        for d in diags {
-            println!("{d}");
-        }
-        println!(
-            "audit: {} finding{} across workspace",
-            diags.len(),
-            if diags.len() == 1 { "" } else { "s" }
-        );
-    }
-    if summary {
-        let mut rules: Vec<&str> = audit::RULE_IDS.to_vec();
-        rules.push("suppression");
-        eprintln!("audit summary: {} files scanned", report.files_scanned);
-        for rule in rules {
-            let findings = diags.iter().filter(|d| d.rule == rule).count();
-            let waived = report.suppressions.get(rule).copied().unwrap_or(0);
-            let budget = audit::SUPPRESSION_BUDGET
-                .iter()
-                .find(|(r, _)| *r == rule)
-                .map_or("-".to_string(), |(_, cap)| cap.to_string());
-            eprintln!(
-                "  {rule:<16} {findings:>3} finding{} {waived:>3} waiver{} (budget {budget})",
-                if findings == 1 { " " } else { "s" },
-                if waived == 1 { " " } else { "s" },
-            );
-        }
-    }
-    for (rule, used, cap) in &over_budget {
-        eprintln!(
-            "audit: rule `{rule}` has {used} honored waivers, over its budget of {cap} \
-             (raise the ceiling in crates/audit/src/rules.rs or fix the code)"
-        );
-    }
-    if deny && (!diags.is_empty() || !over_budget.is_empty()) {
-        1
-    } else {
-        0
     }
 }
 

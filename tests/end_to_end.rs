@@ -134,22 +134,17 @@ fn tab8_c_and_m_explain_runtime_better_than_h() {
 }
 
 #[test]
-// TRACKING: the paper's claim is α > 1 (each walk cycle costs *more*
-// than a cycle because walker refills pollute the caches). At FAST
-// fidelity the shrunken xalancbmk footprint under-resolves that
-// pollution coupling and the observed slope settles at α ≈ 0.9275
-// (deterministic substrate — the value is bit-stable across runs).
-// Until the trace/pollution tuning lands, pin the slope above 0.92 as a
-// regression bound so substrate changes cannot silently erode it
-// further, and keep the direction of the final assertion ready to flip
-// to `> 1.0` once FAST fidelity resolves the coupling.
-//
-// Re-triaged 2026-08: the band stays tier-1 (it has held bit-stable
-// through the mosaicd, hot-path, and tracing PRs), and the exact value
-// is now additionally pinned by the #[ignore]d companion below —
-// substrate work that moves the slope at all shows up there first,
-// before it ever threatens the band.
-fn fig9_slope_exceeds_one_on_broadwell_xalancbmk() {
+// TRACKING: the paper's α > 1 (each walk cycle costs *more* than a
+// cycle because walker refills pollute the caches) does not reproduce.
+// At FAST fidelity the shrunken xalancbmk footprint under-resolves that
+// pollution coupling and the slope settles at α ≈ 0.9275, bit-stable
+// across runs. This test checks only that the slope stays in its FAST
+// band, 0.92 < α ≤ 1.0: substrate changes cannot silently erode it, and
+// a change that lifts it past 1 fails here so that the band can be
+// tightened to the paper's claim. The #[ignore]d companion below pins
+// the exact value, so substrate work that moves the slope at all shows
+// up there first.
+fn fig9_slope_holds_its_fast_band_on_broadwell_xalancbmk() {
     let f = figures::fig9(grid()).unwrap();
     assert!(
         f.slope > 0.92,
