@@ -9,39 +9,11 @@
 //! only the first bench invocation pays for simulation; set
 //! `MOSAIC_FAST=1` for a quick low-fidelity pass.
 
-// The wall-clock ban of `crates/clippy.toml` does not apply to a crate
-// whose job is timing; `codec` denies it again for the report format.
-#![allow(
-    clippy::disallowed_methods,
-    clippy::disallowed_types,
-    reason = "measures wall time"
-)]
-
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::os::fd::AsRawFd;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
-
-use harness::{
-    measure_layout, measure_layout_traced, Grid, MachineVariant, MeasureContext, SampledConfig,
-    Speed,
-};
-use libc::{poll_fds, pollfd, POLLIN, POLLOUT};
+use harness::{Grid, Speed};
 use machine::{profile_tlb_misses, Engine, Platform};
 use mosmodel::dataset::{Dataset, LayoutKind, Sample};
-use service::client::Client;
-use service::metrics::StatsSnapshot;
-use service::registry::ModelRegistry;
-use service::server::{Server, ServerConfig};
 use vmcore::{MemoryLayout, PageSize, Region, VirtAddr};
 use workloads::{TraceParams, WorkloadSpec};
-
-pub mod codec;
-
-use codec::{
-    BenchReport, ConnsBench, GridBench, GridParBench, GridSampledBench, RecommendBench,
-    ServiceBench,
-};
 
 /// Builds the benchmark grid with the standard disk cache.
 pub fn bench_grid() -> Grid {
@@ -85,512 +57,6 @@ pub fn measure_battery(
         .collect()
 }
 
-/// Warm predict requests timed against the in-process server, after
-/// the separately-timed cold request that absorbs the model fit.
-const SERVICE_REQUESTS: usize = 32;
-
-/// Warm recommend requests timed after the cold one (which pays
-/// candidate enumeration, scoring, and the K-fold CV error; the warm
-/// ones hit the recommendation cache).
-const RECOMMEND_REQUESTS: usize = 16;
-
-/// Hugepage budget the recommend leg asks about — small enough to be
-/// admissible against the smallest pool any preset produces (48MB).
-const RECOMMEND_BUDGET: &str = "8x2m";
-
-/// Connection counts the concurrency leg sweeps. The largest is far
-/// beyond the worker count, so its throughput only holds up if the
-/// serving plane multiplexes connections instead of parking a thread
-/// on each one.
-const CONNS_LEVELS: [usize; 3] = [1, 16, 256];
-
-/// Total warm predicts issued per concurrency level, split evenly
-/// across the level's connections so every level does the same work.
-const CONNS_TOTAL_REQUESTS: usize = 2048;
-
-/// Layout specs the service and concurrency legs rotate through; all
-/// windows fit the smallest pool any preset produces (48MB).
-const LAYOUT_SPECS: [&str; 6] = ["4k", "2m", "1g", "2m:0..8M", "2m:8M..24M", "2m:0..32M"];
-
-/// Runs the end-to-end benchmark suite: the grid battery (throughput)
-/// and the mosaicd request path (latency), both for one
-/// `(workload, platform)` pair at the given fidelity.
-///
-/// The grid leg times a cold in-memory battery fit — `records` layout
-/// measurements through the full simulation stack — and reports demand
-/// accesses per wall-clock second, the figure the hot-path work in
-/// `memsim`/`machine` is meant to move. The service leg then starts a
-/// real TCP server over the same (now warm) grid and times the first
-/// request cold (it pays the model fit under the registry's
-/// singleflight latch — the cost `warm` moves off the request path)
-/// before timing the steady state, whose numbers isolate per-request
-/// work: one `measure_layout` plus model application per predict.
-///
-/// # Panics
-///
-/// Panics on an unknown workload/platform or if the loopback server
-/// cannot bind — all setup errors, not measurement outcomes.
-pub fn run_bench(speed: Speed, workload: &str, platform: &'static Platform) -> BenchReport {
-    let spec = WorkloadSpec::by_name(workload).expect("known workload");
-    let grid = Grid::in_memory(speed);
-
-    let started = Instant::now();
-    let entry = grid.entry(workload, platform);
-    let wall = started.elapsed();
-
-    let records = entry.records.len() as u64;
-    // Every record replays the same trace at least once; FAST/FULL stop
-    // at one repetition when the runtime variation bound already holds,
-    // so the per-record access count is the trace length.
-    let accesses = records * speed.trace_len(spec.access_factor);
-    let wall_seconds = wall.as_secs_f64();
-    let grid_bench = GridBench {
-        records,
-        accesses,
-        wall_seconds,
-        accesses_per_sec: accesses as f64 / wall_seconds,
-        trace_overhead_pct: trace_overhead_pct(speed, workload, platform),
-    };
-
-    let grid_par_bench = grid_par_bench(speed, workload, platform, &entry);
-    let grid_sampled_bench = grid_sampled_bench(platform);
-
-    // The service leg reuses the grid (and its cached entry), so the
-    // first predict pays only the model fit, not a second battery. The
-    // admission bound is raised above the concurrency leg's largest
-    // sweep so none of its connections are turned away `busy`.
-    let registry = ModelRegistry::new(grid, None);
-    let config = ServerConfig {
-        queue_bound: 1024,
-        ..Default::default()
-    };
-    let server = Server::start(config, registry).expect("bind loopback");
-    let mut client = Client::connect(server.addr()).expect("connect to own server");
-
-    // The first request through the server is deliberately cold: it
-    // blocks on the registry's singleflight model fit, so its latency
-    // is exactly what a `warm` request (or `mosaic serve --warm`) moves
-    // off the request path.
-    let cold_started = Instant::now();
-    client
-        .predict(workload, platform.name, LAYOUT_SPECS[0], None)
-        .expect("cold predict");
-    let cold_us = cold_started.elapsed().as_micros() as f64;
-    // The server traced the cold request into its ring; the newest
-    // wall-domain predict trace is its stage breakdown (read/parse/
-    // fit/cache_lookup/simulate/render, µs since the first byte).
-    let cold_stages = client
-        .trace(8)
-        .ok()
-        .and_then(|(traces, _dropped)| {
-            traces
-                .into_iter()
-                .rev()
-                .find(|t| t.label == "predict" && t.domain == obs::ClockDomain::Wall)
-        })
-        .map_or_else(|| "-".to_string(), |t| stage_tokens(&t.spans));
-
-    // Percentiles come from the server's own histogram, as the delta
-    // over the snapshot taken just before the timed loop, so neither the
-    // fit nor the first simulation of each spec pollutes the warm
-    // distribution; the mean is client-side, so it also includes the
-    // loopback round-trip.
-    let (total, before, snap) = warm_predicts(&server, &mut client, workload, platform.name);
-    let mut warm_buckets = snap.buckets;
-    for (warm, earlier) in warm_buckets.iter_mut().zip(before.buckets) {
-        *warm = warm.saturating_sub(earlier);
-    }
-    let warm_only = StatsSnapshot {
-        buckets: warm_buckets,
-        ..snap
-    };
-    let service_bench = ServiceBench {
-        requests: SERVICE_REQUESTS as u64,
-        cold_us,
-        cold_stages,
-        mean_us: total.as_micros() as f64 / SERVICE_REQUESTS as f64,
-        p50_us: warm_only.percentile_us(50),
-        p90_us: warm_only.percentile_us(90),
-        p99_us: warm_only.percentile_us(99),
-    };
-
-    // The recommend leg rides the already-fitted pair: the cold request
-    // pays candidate enumeration, per-candidate scoring (warming the
-    // prediction cache), and the K-fold CV error; the warm ones are
-    // recommendation-cache hits, so the gap is what the cache buys.
-    let rec_cold_started = Instant::now();
-    client
-        .recommend(workload, platform.name, RECOMMEND_BUDGET, None)
-        .expect("cold recommend");
-    let rec_cold_us = rec_cold_started.elapsed().as_micros() as f64;
-    let mut rec_total = Duration::ZERO;
-    for _ in 0..RECOMMEND_REQUESTS {
-        let one = Instant::now();
-        client
-            .recommend(workload, platform.name, RECOMMEND_BUDGET, None)
-            .expect("timed recommend");
-        rec_total += one.elapsed();
-    }
-    let recommend_bench = RecommendBench {
-        rec_requests: RECOMMEND_REQUESTS as u64,
-        rec_cold_us,
-        rec_mean_us: rec_total.as_micros() as f64 / RECOMMEND_REQUESTS as f64,
-    };
-
-    // The concurrency leg sweeps warm-path throughput at 1, 16, and
-    // 256 connections against the same (fully warmed) server. Every
-    // layout below was already predicted, so each request is a
-    // prediction-cache hit and the sweep isolates the serving plane.
-    let [one, sixteen, two_fifty_six] =
-        CONNS_LEVELS.map(|conns| conns_qps(server.addr(), workload, platform.name, conns));
-    let conns_bench = ConnsBench {
-        conns_1_qps: one,
-        conns_16_qps: sixteen,
-        conns_256_qps: two_fifty_six,
-    };
-    server.shutdown();
-
-    BenchReport {
-        date: today_utc(),
-        speed: speed.name.to_string(),
-        workload: workload.to_string(),
-        platform: platform.name.to_string(),
-        grid: grid_bench,
-        grid_par: grid_par_bench,
-        grid_sampled: grid_sampled_bench,
-        service: service_bench,
-        recommend: recommend_bench,
-        conns: conns_bench,
-    }
-}
-
-/// The service leg's steady state. Each of [`LAYOUT_SPECS`] is predicted
-/// once untimed, so every timed request is a prediction-cache hit; then
-/// [`SERVICE_REQUESTS`] predicts are timed. Returns their summed
-/// client-side latency and the server's stats just before and just after
-/// the timed loop.
-fn warm_predicts(
-    server: &Server,
-    client: &mut Client,
-    workload: &str,
-    platform: &str,
-) -> (Duration, StatsSnapshot, StatsSnapshot) {
-    for layout in LAYOUT_SPECS {
-        client
-            .predict(workload, platform, layout, None)
-            .expect("untimed warm-up predict");
-    }
-    let before = server.stats();
-    let mut total = Duration::ZERO;
-    for i in 0..SERVICE_REQUESTS {
-        let layout = LAYOUT_SPECS[i % LAYOUT_SPECS.len()];
-        let one = Instant::now();
-        client
-            .predict(workload, platform, layout, None)
-            .expect("timed predict");
-        total += one.elapsed();
-    }
-    (total, before, server.stats())
-}
-
-/// Times the identical cold battery twice on fresh in-memory grids —
-/// serially (`jobs=1`) and with the resolved worker fan-out — and
-/// reports the measured speedup. Both rebuilt entries are checked
-/// against the reference entry the main grid leg produced: the speedup
-/// only counts if the parallel build is answer-identical.
-fn grid_par_bench(
-    speed: Speed,
-    workload: &str,
-    platform: &'static Platform,
-    reference: &harness::GridEntry,
-) -> GridParBench {
-    let jobs = harness::resolve_jobs(None).max(2);
-
-    let serial_grid = Grid::in_memory(speed).with_jobs(1);
-    let t1 = Instant::now();
-    let serial = serial_grid.entry(workload, platform);
-    let par_1_wall_seconds = t1.elapsed().as_secs_f64();
-
-    let parallel_grid = Grid::in_memory(speed).with_jobs(jobs);
-    let tn = Instant::now();
-    let parallel = parallel_grid.entry(workload, platform);
-    let par_n_wall_seconds = tn.elapsed().as_secs_f64();
-
-    assert_eq!(
-        *serial, *reference,
-        "serial rebuild diverged from the reference battery"
-    );
-    assert_eq!(
-        *parallel, *reference,
-        "parallel rebuild diverged from the reference battery"
-    );
-    GridParBench {
-        par_jobs: jobs as u64,
-        par_1_wall_seconds,
-        par_n_wall_seconds,
-        par_speedup: if par_n_wall_seconds > 0.0 {
-            par_1_wall_seconds / par_n_wall_seconds
-        } else {
-            0.0
-        },
-    }
-}
-
-/// The sampled leg's fixed preset: a trace long enough for the
-/// cold-split extrapolation to amortize the pool's compulsory fills,
-/// so the honest 5% gate genuinely accepts (probed max anchor error
-/// ≈ 4.3%, deterministic). Independent of the session's speed preset —
-/// the leg benchmarks the sampling pipeline itself, and gate acceptance
-/// is a property of (workload, trace length, window, period), not of
-/// the caller's fidelity choice.
-const SAMPLED_BENCH_SPEED: Speed = Speed {
-    name: "sampled-bench",
-    footprint_div: 1 << 30,
-    min_footprint: 2 << 20,
-    accesses: 2_000_000,
-    max_reps: 1,
-};
-
-/// The sampled leg's configuration: keep 1k of every 5k accesses (20%)
-/// under the default 5% gate bound.
-const SAMPLED_BENCH_CFG: SampledConfig = SampledConfig {
-    window: 1_000,
-    period: 5_000,
-    bound: 0.05,
-};
-
-/// Workload the sampled leg measures; uniform-random gups is the
-/// calibrated pairing for [`SAMPLED_BENCH_SPEED`].
-const SAMPLED_BENCH_WORKLOAD: &str = "gups/8GB";
-
-/// Times the identical cold battery twice on fresh in-memory grids —
-/// once with validated interval sampling and once full — and reports
-/// the measured speedup plus the gate's measured anchor error. The leg
-/// panics if the gate rejects: a rejected battery silently falls back
-/// to full measurement, which would make the reported "speedup" a
-/// comparison of two full builds.
-fn grid_sampled_bench(platform: &'static Platform) -> GridSampledBench {
-    let cfg = SAMPLED_BENCH_CFG;
-    let sampled_grid = Grid::in_memory(SAMPLED_BENCH_SPEED).with_sampled(cfg);
-    let t0 = Instant::now();
-    let sampled = sampled_grid.entry(SAMPLED_BENCH_WORKLOAD, platform);
-    let sampled_wall_seconds = t0.elapsed().as_secs_f64();
-    let gate = sampled
-        .gate
-        .expect("sampled grids always carry a gate verdict");
-    assert!(
-        gate.accepted,
-        "the sampled bench gate must accept its calibrated config: max_rel_err {}",
-        gate.max_rel_err
-    );
-
-    let full_grid = Grid::in_memory(SAMPLED_BENCH_SPEED);
-    let t1 = Instant::now();
-    let full = full_grid.entry(SAMPLED_BENCH_WORKLOAD, platform);
-    let sampled_full_wall_seconds = t1.elapsed().as_secs_f64();
-    assert_eq!(
-        sampled.records.len(),
-        full.records.len(),
-        "sampled and full batteries must measure the same layout list"
-    );
-
-    GridSampledBench {
-        sampled_window: cfg.window,
-        sampled_period: cfg.period,
-        sampled_bound: cfg.bound,
-        sampled_anchor_err: gate.max_rel_err,
-        sampled_wall_seconds,
-        sampled_full_wall_seconds,
-        sampled_speedup: if sampled_wall_seconds > 0.0 {
-            sampled_full_wall_seconds / sampled_wall_seconds
-        } else {
-            0.0
-        },
-    }
-}
-
-/// One load-generator connection: a nonblocking socket with exactly one
-/// request in flight at a time.
-struct LoadConn {
-    stream: TcpStream,
-    /// Unsent bytes of the current request; empty while awaiting a reply.
-    to_write: Vec<u8>,
-    /// Reply bytes accumulated so far (at most one line, since only one
-    /// request is ever in flight).
-    reply: Vec<u8>,
-    /// Requests fully written so far — rotates the layout spec.
-    sent: usize,
-    /// Replies still expected before this connection is finished.
-    remaining: usize,
-}
-
-/// Warm-path predict throughput with `conns` concurrent connections,
-/// each keeping exactly one request in flight. A single thread drives
-/// every connection through one `poll(2)` loop, so the figure measures
-/// the serving plane's scalability rather than client-side thread
-/// scheduling: at 1 connection the exchange is a strict ping-pong
-/// (bounded by per-request wakeups on both sides), while at 256 the
-/// server sees hundreds of in-flight requests per readiness wakeup and
-/// can batch its reads, dispatches, and reply writes.
-fn conns_qps(addr: SocketAddr, workload: &str, platform: &str, conns: usize) -> f64 {
-    let per_conn = (CONNS_TOTAL_REQUESTS / conns).max(1);
-    let request = |i: usize| {
-        let layout = LAYOUT_SPECS[i % LAYOUT_SPECS.len()];
-        format!("predict {workload} {platform} {layout}\n").into_bytes()
-    };
-    let mut loaders: Vec<LoadConn> = (0..conns)
-        .map(|_| {
-            let stream = TcpStream::connect(addr).expect("connect load connection");
-            stream
-                .set_nodelay(true)
-                .expect("nodelay on load connection");
-            stream
-                .set_nonblocking(true)
-                .expect("nonblocking load connection");
-            LoadConn {
-                stream,
-                to_write: request(0),
-                reply: Vec::new(),
-                sent: 0,
-                remaining: per_conn,
-            }
-        })
-        .collect();
-    let total = per_conn * conns;
-    let mut done = 0usize;
-    let started = Instant::now();
-    while done < total {
-        let mut fds: Vec<pollfd> = loaders
-            .iter()
-            .map(|conn| pollfd {
-                fd: conn.stream.as_raw_fd(),
-                events: if conn.remaining == 0 {
-                    0
-                } else if conn.to_write.is_empty() {
-                    POLLIN
-                } else {
-                    POLLOUT
-                },
-                revents: 0,
-            })
-            .collect();
-        poll_fds(&mut fds, 1000).expect("poll load connections");
-        for (conn, fd) in loaders.iter_mut().zip(&fds) {
-            if fd.revents == 0 || conn.remaining == 0 {
-                continue;
-            }
-            if !conn.to_write.is_empty() {
-                match conn.stream.write(&conn.to_write) {
-                    Ok(n) => {
-                        conn.to_write.drain(..n);
-                        if conn.to_write.is_empty() {
-                            conn.sent += 1;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                    Err(e) => panic!("load-connection write failed: {e}"),
-                }
-                continue;
-            }
-            let mut chunk = [0u8; 512];
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => panic!("server closed a load connection"),
-                Ok(n) => {
-                    conn.reply.extend_from_slice(&chunk[..n]);
-                    while let Some(nl) = conn.reply.iter().position(|&b| b == b'\n') {
-                        let line: Vec<u8> = conn.reply.drain(..=nl).collect();
-                        assert!(
-                            line.starts_with(b"ok "),
-                            "load predict failed: {}",
-                            String::from_utf8_lossy(&line)
-                        );
-                        done += 1;
-                        conn.remaining -= 1;
-                        if conn.remaining > 0 {
-                            conn.to_write = request(conn.sent);
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                Err(e) => panic!("load-connection read failed: {e}"),
-            }
-        }
-    }
-    total as f64 / started.elapsed().as_secs_f64()
-}
-
-/// Renders wall-domain spans as space-separated `stage:start..end`
-/// tokens for the bench report (the report codec treats a comma as
-/// end-of-value, so the wire format's comma separator is unusable).
-fn stage_tokens(spans: &[obs::Span]) -> String {
-    if spans.is_empty() {
-        return "-".to_string();
-    }
-    spans
-        .iter()
-        .map(|s| format!("{}:{}..{}", s.stage, s.start, s.end))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-/// How many interleaved traced/untraced `measure_layout` pairs the
-/// overhead gate times (min-of-k on each arm).
-const OVERHEAD_REPS: usize = 5;
-
-/// Measures the relative wall-clock cost of running `measure_layout`
-/// with a span recorder attached, in percent. Min-of-k on interleaved
-/// runs: both arms get their best case, so scheduler noise cancels
-/// instead of accumulating into a phantom overhead. A warmup run
-/// absorbs first-touch page faults before either arm is timed.
-fn trace_overhead_pct(speed: Speed, workload: &str, platform: &'static Platform) -> f64 {
-    let ctx = MeasureContext::new(speed, workload).expect("known workload");
-    let variant = MachineVariant::real(platform);
-    let layout = MemoryLayout::all_4k(ctx.pool());
-    let _ = measure_layout(&ctx, &variant, &layout);
-
-    let mut untraced = f64::INFINITY;
-    let mut traced = f64::INFINITY;
-    for _ in 0..OVERHEAD_REPS {
-        let t0 = Instant::now();
-        let _ = measure_layout(&ctx, &variant, &layout);
-        untraced = untraced.min(t0.elapsed().as_secs_f64());
-
-        let mut recorder = obs::SpanRecorder::new(64);
-        let t1 = Instant::now();
-        let _ = measure_layout_traced(&ctx, &variant, &layout, Some(&mut recorder));
-        traced = traced.min(t1.elapsed().as_secs_f64());
-    }
-    if untraced <= 0.0 {
-        return 0.0;
-    }
-    (traced - untraced) / untraced * 100.0
-}
-
-/// Today's civil date (UTC) as `YYYY-MM-DD`, from the system clock.
-pub fn today_utc() -> String {
-    let days = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap_or_default()
-        .as_secs()
-        / 86_400;
-    civil_from_days(days as i64)
-}
-
-/// Gregorian date for a day count since 1970-01-01 (the standard
-/// era-based inversion), so the report stamp needs no date crate.
-fn civil_from_days(z: i64) -> String {
-    let z = z + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = yoe + era * 400 + i64::from(m <= 2);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
 fn classify(layout: &MemoryLayout) -> LayoutKind {
     if layout.windows().is_empty() {
         LayoutKind::All4K
@@ -598,56 +64,5 @@ fn classify(layout: &MemoryLayout) -> LayoutKind {
         LayoutKind::All2M
     } else {
         LayoutKind::Mixed
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn civil_from_days_matches_known_dates() {
-        assert_eq!(civil_from_days(0), "1970-01-01");
-        assert_eq!(civil_from_days(31), "1970-02-01");
-        assert_eq!(civil_from_days(11_016), "2000-02-29"); // leap day
-        assert_eq!(civil_from_days(11_017), "2000-03-01");
-        assert_eq!(civil_from_days(19_723), "2024-01-01");
-        assert_eq!(civil_from_days(20_671), "2026-08-06");
-    }
-
-    #[test]
-    fn warm_leg_times_prediction_cache_hits_only() {
-        // A low-fidelity preset so the model fit takes seconds.
-        let tiny = Speed {
-            name: "tiny",
-            footprint_div: 1024,
-            min_footprint: 48 << 20,
-            accesses: 12_000,
-            max_reps: 1,
-        };
-        let registry = ModelRegistry::new(Grid::in_memory(tiny), None);
-        let server = Server::start(ServerConfig::default(), registry).expect("bind loopback");
-        let mut client = Client::connect(server.addr()).expect("connect to own server");
-        let (_, before, after) = warm_predicts(&server, &mut client, "gups/8GB", "SandyBridge");
-        assert_eq!(
-            after.cache.misses, before.cache.misses,
-            "a timed warm request ran a simulation"
-        );
-        assert_eq!(
-            after.cache.hits - before.cache.hits,
-            SERVICE_REQUESTS as u64
-        );
-        server.shutdown();
-    }
-
-    #[test]
-    fn today_is_well_formed() {
-        let today = today_utc();
-        let parts: Vec<&str> = today.split('-').collect();
-        assert_eq!(parts.len(), 3, "{today:?}");
-        assert_eq!(parts[0].len(), 4);
-        assert!(parts[0].parse::<u32>().unwrap() >= 2024);
-        assert!((1..=12).contains(&parts[1].parse::<u32>().unwrap()));
-        assert!((1..=31).contains(&parts[2].parse::<u32>().unwrap()));
     }
 }

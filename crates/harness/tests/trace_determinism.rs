@@ -104,3 +104,29 @@ fn recorder_overflow_drops_instead_of_growing() {
     assert_eq!(rec.len(), 1);
     assert_eq!(rec.dropped(), 2);
 }
+
+#[test]
+fn span_count_is_per_repetition_not_per_access() {
+    // Tracing costs one fixed set of span pushes per repetition, after
+    // its replay: never one per access. Two presets with different trace
+    // lengths and repetition counts (a `max_reps` of 1 or 2 always runs
+    // exactly that many, since the CV check needs two runs) must record
+    // the same `SIM_STAGES.len()` spans per repetition, none dropped.
+    let short_twice = Speed {
+        name: "short-twice",
+        footprint_div: 1024,
+        min_footprint: 48 << 20,
+        accesses: 12_000,
+        max_reps: 2,
+    };
+    for (speed, reps) in [(Speed::FAST, 1), (short_twice, 2)] {
+        let (_, rec) = traced_run(speed, 64);
+        assert_eq!(rec.dropped(), 0, "{}: spans dropped", speed.name);
+        assert_eq!(
+            rec.len(),
+            harness::SIM_STAGES.len() * reps,
+            "{}: span count must not depend on the trace length",
+            speed.name
+        );
+    }
+}

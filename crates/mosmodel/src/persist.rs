@@ -480,8 +480,8 @@ mod tests {
 
         /// Both float codecs over arbitrary bit patterns: the hex codec
         /// keeps every pattern, NaN payloads included, and the shortest
-        /// codec keeps every non-NaN one. The grid cache and the bench
-        /// report write their floats with the shortest codec.
+        /// codec keeps every non-NaN one. The grid cache writes its
+        /// floats with the shortest codec.
         #[test]
         fn float_codecs_roundtrip_arbitrary_bit_patterns(bits in proptest::prelude::any::<u64>()) {
             let v = f64::from_bits(bits);

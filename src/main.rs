@@ -13,7 +13,6 @@
 //! mosaic batch <addr> <request>...     # several requests on one wire line
 //! mosaic metrics <addr>                # Prometheus text exposition scrape
 //! mosaic trace <addr> [n]              # dump the last n request traces
-//! mosaic bench [--json] [workload] [platform]  # hot-path throughput + serving latency
 //! ```
 //!
 //! `MOSAIC_FAST=1` selects the low-fidelity preset everywhere;
@@ -43,10 +42,9 @@ fn main() {
         Some("batch") => cmd_batch(&args[1..]),
         Some("metrics") => cmd_metrics(args.get(1)),
         Some("trace") => cmd_trace(args.get(1), args.get(2)),
-        Some("bench") => cmd_bench(&args[1..]),
         _ => {
             eprintln!(
-                "usage: mosaic <list | run <workload> <platform> | figure <id> [--csv] | sensitivity <platform> | export <workload> <platform> | describe <workload> <platform> [model] | serve [addr] [--warm <workload>:<platform>]... [--cache-cap <n>] [--jobs <n>] [--sampled[=<w>:<p>:<b>]] | query <addr> ... | recommend <addr> <workload> <platform> <budget> [threshold] | batch <addr> <request>... | metrics <addr> | trace <addr> [n] | bench [--json] [workload] [platform]>"
+                "usage: mosaic <list | run <workload> <platform> | figure <id> [--csv] | sensitivity <platform> | export <workload> <platform> | describe <workload> <platform> [model] | serve [addr] [--warm <workload>:<platform>]... [--cache-cap <n>] [--jobs <n>] [--sampled[=<w>:<p>:<b>]] | query <addr> ... | recommend <addr> <workload> <platform> <budget> [threshold] | batch <addr> <request>... | metrics <addr> | trace <addr> [n]>"
             );
             2
         }
@@ -760,123 +758,6 @@ fn cmd_trace(addr: Option<&String>, count: Option<&String>) -> i32 {
             1
         }
     }
-}
-
-fn cmd_bench(args: &[String]) -> i32 {
-    let mut json = false;
-    let mut positional: Vec<&String> = Vec::new();
-    for arg in args {
-        match arg.as_str() {
-            "--json" => json = true,
-            other if other.starts_with('-') => {
-                eprintln!(
-                    "usage: mosaic bench [--json] [workload] [platform] (unknown flag {other:?})"
-                );
-                return 2;
-            }
-            _ => positional.push(arg),
-        }
-    }
-    let workload = positional.first().map_or("gups/8GB", |s| s.as_str());
-    let platform_name = positional.get(1).map_or("sandybridge", |s| s.as_str());
-    let Some(platform) = Platform::by_name(platform_name) else {
-        eprintln!("unknown platform {platform_name:?}; see `mosaic list`");
-        return 2;
-    };
-    if workloads::WorkloadSpec::by_name(workload).is_none() {
-        eprintln!("unknown workload {workload:?}; see `mosaic list`");
-        return 2;
-    }
-
-    // The benchmark pins the FAST preset regardless of MOSAIC_FAST: its
-    // numbers are only comparable run-to-run at one fixed fidelity.
-    let report = bench::run_bench(Speed::FAST, workload, platform);
-    println!(
-        "grid battery: {} records / {} accesses in {:.3}s -> {:.0} accesses/sec",
-        report.grid.records,
-        report.grid.accesses,
-        report.grid.wall_seconds,
-        report.grid.accesses_per_sec,
-    );
-    println!(
-        "grid-par:     battery jobs=1 {:.3}s vs jobs={} {:.3}s -> {:.2}x speedup (byte-identical records)",
-        report.grid_par.par_1_wall_seconds,
-        report.grid_par.par_jobs,
-        report.grid_par.par_n_wall_seconds,
-        report.grid_par.par_speedup,
-    );
-    println!(
-        "grid-sampled: battery full {:.3}s vs sampled {}:{} {:.3}s -> {:.2}x speedup (anchor err {:.4} <= {} gate)",
-        report.grid_sampled.sampled_full_wall_seconds,
-        report.grid_sampled.sampled_window,
-        report.grid_sampled.sampled_period,
-        report.grid_sampled.sampled_wall_seconds,
-        report.grid_sampled.sampled_speedup,
-        report.grid_sampled.sampled_anchor_err,
-        report.grid_sampled.sampled_bound,
-    );
-    // The tracing gate: span recording must be cheap enough that an
-    // instrumented run is the same run. Unlike the throughput figures
-    // (absolute numbers, too noisy to gate on shared runners), this is
-    // a self-relative ratio measured min-of-k, so it holds a threshold.
-    let overhead = report.grid.trace_overhead_pct;
-    let gate_ok = overhead < 3.0;
-    println!(
-        "tracing:      measure_layout overhead {overhead:+.2}% with spans enabled (gate: <3%) {}",
-        if gate_ok { "PASS" } else { "FAIL" },
-    );
-    println!(
-        "mosaicd:      {} warm predict requests, mean {:.0}us, p50<={}us p90<={}us p99<={}us",
-        report.service.requests,
-        report.service.mean_us,
-        report.service.p50_us,
-        report.service.p90_us,
-        report.service.p99_us,
-    );
-    let speedup = if report.service.mean_us > 0.0 {
-        report.service.cold_us / report.service.mean_us
-    } else {
-        0.0
-    };
-    println!(
-        "mosaicd:      cold first request {:.0}us (model fit) vs warm mean {:.0}us -> {:.0}x; pre-fit with `mosaic serve --warm {}:{}`",
-        report.service.cold_us, report.service.mean_us, speedup, workload, platform.name,
-    );
-    println!(
-        "mosaicd:      cold request stages (us): {}",
-        report.service.cold_stages,
-    );
-    println!(
-        "recommend:    cold {:.0}us (enumerate + score + CV) vs {} cached mean {:.1}us",
-        report.recommend.rec_cold_us, report.recommend.rec_requests, report.recommend.rec_mean_us,
-    );
-    println!(
-        "conns:        warm predict throughput {:.0} qps @1 / {:.0} qps @16 / {:.0} qps @256 connections",
-        report.conns.conns_1_qps, report.conns.conns_16_qps, report.conns.conns_256_qps,
-    );
-    if json {
-        let path = format!("BENCH_{}.json", report.date);
-        let text = bench::codec::render_report(&report);
-        match bench::codec::parse_report(&text) {
-            Ok(back) if back == report => {}
-            _ => {
-                eprintln!(
-                    "mosaic bench: report failed its own roundtrip check; not writing {path}"
-                );
-                return 1;
-            }
-        }
-        if let Err(e) = std::fs::write(&path, &text) {
-            eprintln!("mosaic bench: cannot write {path}: {e}");
-            return 1;
-        }
-        println!("wrote {path}");
-    }
-    if !gate_ok {
-        eprintln!("mosaic bench: tracing overhead gate failed ({overhead:+.2}% >= 3%)");
-        return 1;
-    }
-    0
 }
 
 fn model_names() -> Vec<&'static str> {

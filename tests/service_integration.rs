@@ -1103,3 +1103,59 @@ fn batch_replies_match_sequential_requests_byte_for_byte() {
         .unwrap();
     server.shutdown();
 }
+
+/// 256 connections, each with one `predict` in flight at once, all
+/// driven from this one thread: every one is admitted and answered with
+/// the in-process reply for its spec. No other test keeps more than a
+/// handful of connections open, so this is the check that the serving
+/// plane multiplexes connections rather than parking a thread per
+/// connection or turning the excess away `busy`.
+#[test]
+fn many_connections_in_flight_are_all_answered_in_process_bytes() {
+    const CONNS: usize = 256;
+
+    let config = ServerConfig {
+        queue_bound: CONNS,
+        ..Default::default()
+    };
+    let server = Server::start(config, ModelRegistry::new(Grid::in_memory(TINY), None)).unwrap();
+    let addr = server.addr();
+
+    let specs = ["4k", "2m", "1g", "2m:0..8M", "2m:8M..24M", "2m:0..32M"];
+    let expected: Vec<String> = specs
+        .iter()
+        .map(|spec| {
+            let p = predict(server.registry(), WORKLOAD, PLATFORM, spec, None).unwrap();
+            service::protocol::render_prediction(&p)
+        })
+        .collect();
+
+    // Blocking sockets: every request is written before any reply is
+    // read, so all of them are in flight together.
+    let mut streams: Vec<TcpStream> = (0..CONNS)
+        .map(|i| {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(60)))
+                .unwrap();
+            let spec = specs[i % specs.len()];
+            stream
+                .write_all(format!("predict {WORKLOAD} {PLATFORM} {spec}\n").as_bytes())
+                .unwrap();
+            stream
+        })
+        .collect();
+    for (i, stream) in streams.iter_mut().enumerate() {
+        let mut reply = String::new();
+        let n = BufReader::new(stream).read_line(&mut reply).unwrap();
+        assert_ne!(n, 0, "connection {i} closed without a reply");
+        let want = &expected[i % specs.len()];
+        assert!(reply.starts_with("ok "), "connection {i}: {reply:?}");
+        assert_eq!(reply.trim_end(), want, "connection {i} diverged");
+    }
+
+    let snap = server.stats();
+    assert_eq!(snap.busy, 0, "a connection was turned away busy");
+    assert_eq!(snap.errors, 0);
+    server.shutdown();
+}
