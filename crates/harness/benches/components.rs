@@ -1,9 +1,11 @@
 //! Component microbenchmarks: the simulator and regression building
 //! blocks, measured in isolation.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use harness::ablations::churn;
 use machine::{Engine, Platform};
 use memsim::{CacheGeometry, CacheTag, MemorySubsystem, SetAssocCache, Translation};
+use mosalloc::FitPolicy;
 use mosmodel::dataset::{Dataset, LayoutKind, Sample};
 use mosmodel::lasso::fit_lasso;
 use mosmodel::models::ModelKind;
@@ -181,6 +183,20 @@ fn bench_walk_path(c: &mut Criterion) {
     group.finish();
 }
 
+/// Times the `ablation-fit-policy` churn under each pool policy (paper
+/// §V: first fit for its runtime complexity).
+fn bench_fit_policy(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fit_policy_churn");
+    for policy in [FitPolicy::FirstFit, FitPolicy::BestFit, FitPolicy::WorstFit] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("{policy:?}")),
+            &policy,
+            |b, &p| b.iter(|| churn(p, 7)),
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_subsystem,
@@ -188,6 +204,7 @@ criterion_group!(
     bench_engine,
     bench_regression,
     bench_tracegen,
-    bench_walk_path
+    bench_walk_path,
+    bench_fit_policy
 );
 criterion_main!(benches);

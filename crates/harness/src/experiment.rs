@@ -118,11 +118,11 @@ impl GridEntry {
 /// # Example
 ///
 /// ```no_run
-/// use harness::{Grid, MachineVariant, SPEED_FAST};
+/// use harness::{Grid, MachineVariant, Speed};
 /// use machine::{EngineConfig, Platform};
 /// use vmcore::PageSize;
 ///
-/// let grid = Grid::new(SPEED_FAST);
+/// let grid = Grid::new(Speed::FAST);
 /// let virtualized = MachineVariant {
 ///     name: "SNB-virt-4K".into(),
 ///     platform: Platform::SANDY_BRIDGE,
@@ -166,10 +166,10 @@ impl MachineVariant {
 /// # Example
 ///
 /// ```no_run
-/// use harness::{Grid, SPEED_FAST};
+/// use harness::{Grid, Speed};
 /// use machine::Platform;
 ///
-/// let grid = Grid::new(SPEED_FAST);
+/// let grid = Grid::new(Speed::FAST);
 /// let entry = grid.entry("spec06/mcf", &Platform::SANDY_BRIDGE);
 /// assert_eq!(entry.records.len(), 55); // 54-layout battery + all-1GB
 /// ```
@@ -463,7 +463,7 @@ impl Grid {
 }
 
 /// Classifies a layout into its anchor kind.
-fn classify(layout: &MemoryLayout) -> LayoutKind {
+pub(crate) fn classify(layout: &MemoryLayout) -> LayoutKind {
     if layout.windows().is_empty() {
         return LayoutKind::All4K;
     }

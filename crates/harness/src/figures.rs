@@ -2,8 +2,8 @@
 //!
 //! Every function returns a structured result whose `Display` renders the
 //! same information the paper's figure conveys (series data and/or the
-//! headline numbers), so `cargo bench`/examples can print them and tests
-//! can assert on the shapes.
+//! headline numbers), so `mosaic figure` can print them and tests can
+//! assert on the shapes.
 
 use std::fmt;
 

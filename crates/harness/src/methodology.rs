@@ -17,15 +17,12 @@
 //! [`transfer_error`] additionally quantifies §IV's warning directly:
 //! a model fitted for processor `P` evaluated on `P̄`'s own data.
 
-use std::fmt;
-
 use machine::{partial_sim, Engine, Platform};
 use mosmodel::metrics::max_err;
 use mosmodel::models::{ModelKind, RuntimeModel};
 use mosmodel::{FitError, Sample};
 use vmcore::PageSize;
 
-use crate::report::{cycles, pct};
 use crate::{Grid, MeasureContext};
 
 /// Result of one design-exploration experiment (Figure 1 end to end).
@@ -51,21 +48,6 @@ impl DesignPrediction {
     /// Relative error of the methodology for this experiment.
     pub fn error(&self) -> f64 {
         ((self.simulated_r - self.predicted_r) / self.simulated_r).abs()
-    }
-}
-
-impl fmt::Display for DesignPrediction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} ({} pages): model-from-{} predicts {}, full simulation says {} — {} off",
-            self.design,
-            self.backing,
-            self.base,
-            cycles(self.predicted_r),
-            cycles(self.simulated_r),
-            pct(self.error())
-        )
     }
 }
 

@@ -184,8 +184,8 @@ where
 ///
 /// The paper notes that cross-validating Mosmodel sometimes required up
 /// to ~100 samples (§VI-C); this constructor generates those larger (or
-/// smaller) batteries for sample-size studies — see the
-/// `ablation_battery_size` bench.
+/// smaller) batteries for sample-size studies — see
+/// `mosaic figure ablation-battery-size`.
 ///
 /// # Panics
 ///

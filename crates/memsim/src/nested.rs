@@ -8,8 +8,8 @@
 //! 4KB/4KB guest/host walk costs up to `4 x 5 + 4 = 24` memory
 //! references instead of 4 — the blow-up that motivated that line of
 //! work. This module implements the 2D walk so virtualization-flavoured
-//! experiments can run on the same substrate (see the
-//! `ablation_nested_paging` bench).
+//! experiments can run on the same substrate (see
+//! `mosaic figure ablation-nested-paging`).
 //!
 //! A "nested TLB" (modelled with the same [`WalkCaches`] structure the
 //! MMU caches use) short-circuits repeated host translations of hot

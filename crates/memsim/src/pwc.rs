@@ -22,7 +22,7 @@ pub enum PwcLevel {
 }
 
 /// The trio of page-walk caches. A cache configured with zero entries is
-/// disabled (always misses) — used by the `ablation_pwc` study.
+/// disabled (always misses) — used by `mosaic figure ablation-structures`.
 #[derive(Clone, Debug)]
 pub struct WalkCaches {
     pml4e: Option<SetAssocCache<u64>>,

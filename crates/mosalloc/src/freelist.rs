@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 /// complexity and utilization than best/worst fit (§V), and leaves
 /// "better, more efficient memory management algorithms" as future work
 /// — all three classical policies are implemented here so the claim can
-/// be measured (see the `ablation_fit_policy` bench).
+/// be measured (see `mosaic figure ablation-fit-policy`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum FitPolicy {
     /// Lowest-addressed hole that fits (the paper's choice).

@@ -68,12 +68,12 @@
 //! # Example
 //!
 //! ```no_run
-//! use harness::{Grid, SPEED_FAST};
+//! use harness::{Grid, Speed};
 //! use service::client::Client;
 //! use service::registry::ModelRegistry;
 //! use service::server::{Server, ServerConfig};
 //!
-//! let registry = ModelRegistry::new(Grid::new(SPEED_FAST), None);
+//! let registry = ModelRegistry::new(Grid::new(Speed::FAST), None);
 //! let server = Server::start(ServerConfig::default(), registry).unwrap();
 //! let mut client = Client::connect(server.addr()).unwrap();
 //! let p = client.predict("gups/8GB", "sandybridge", "2m:0..64M", None).unwrap();

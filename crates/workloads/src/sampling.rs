@@ -10,7 +10,7 @@
 //! This module implements blind sampling and a simple **multi-window**
 //! variant (periodic windows across the whole trace, a cheap phase-aware
 //! improvement), so the claim can be measured against our workloads —
-//! see the `ablation_sampling` bench.
+//! see `mosaic figure ablation-sampling`.
 
 use crate::Access;
 

@@ -22,10 +22,10 @@
 //!
 //! ```no_run
 //! use harness::experiment::Grid;
-//! use harness::SPEED_FAST;
+//! use harness::Speed;
 //! use mosmodel::models::ModelKind;
 //!
-//! let grid = Grid::new(SPEED_FAST);
+//! let grid = Grid::new(Speed::FAST);
 //! let dataset = grid.dataset("spec06/mcf", &machine::Platform::SANDY_BRIDGE);
 //! let fitted = ModelKind::Mosmodel.fit(&dataset).unwrap();
 //! println!("max error: {:.2}%", 100.0 * mosmodel::metrics::max_err(&fitted, &dataset));

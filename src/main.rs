@@ -3,7 +3,7 @@
 //! ```text
 //! mosaic list                          # workloads and platforms
 //! mosaic run <workload> <platform>     # fit all nine models on one pair
-//! mosaic figure <fig2..fig11|tab6..tab8|casestudy|all>
+//! mosaic figure <id|all> [--csv]       # a paper figure, table or ablation (harness::RESULTS)
 //! mosaic sensitivity <platform>        # TLB sensitivity of every workload
 //! mosaic serve [addr] [--warm <workload>:<platform>]... [--cache-cap <n>] [--jobs <n>] [--sampled[=<w>:<p>:<b>]]  # start mosaicd
 //! mosaic query <addr> <workload> <platform> <layout-spec> [model]
@@ -22,7 +22,7 @@
 //! validated interval-sampled grid builds (an explicit `--sampled` wins).
 
 use harness::report::{pct, TextTable};
-use harness::{casestudy, figures, tables, Grid, Speed};
+use harness::{casestudy, figures, Grid, Speed};
 use machine::Platform;
 use mosmodel::metrics::{geo_mean_err, max_err};
 use mosmodel::models::ModelKind;
@@ -132,8 +132,6 @@ fn cmd_figure(which: Option<&String>) -> i32 {
     let what = which.unwrap_or(&default).clone();
     let csv = std::env::args().any(|a| a == "--csv");
     let grid = Grid::new(Speed::from_env());
-    let run = |name: &str| what == "all" || what == name;
-    let mut matched = false;
 
     // CSV export is supported for the series figures.
     if csv {
@@ -163,70 +161,16 @@ fn cmd_figure(which: Option<&String>) -> i32 {
         return 2;
     }
 
-    if run("fig2") {
-        matched = true;
-        let pairs = figures::sensitive_pairs(&grid);
-        println!("{}\n", figures::fig2(&grid, &pairs));
-    }
-    if run("fig3") {
-        matched = true;
-        println!("Figure 3 — {}\n", figures::fig3(&grid).expect("anchors"));
-    }
-    if run("fig5") {
-        matched = true;
-        for m in figures::fig5(&grid, &figures::sensitive_by_platform(&grid)) {
-            println!("Figure 5 — {m}\n");
-        }
-    }
-    if run("fig6") {
-        matched = true;
-        for m in figures::fig6(&grid, &figures::sensitive_by_platform(&grid)) {
-            println!("Figure 6 — {m}\n");
-        }
-    }
-    if run("fig7") {
-        matched = true;
-        println!("{}\n", figures::fig7(&grid).expect("anchors"));
-    }
-    if run("fig8") {
-        matched = true;
-        println!("Figure 8 — {}\n", figures::fig8(&grid).expect("anchors"));
-    }
-    if run("fig9") {
-        matched = true;
-        println!("{}\n", figures::fig9(&grid).expect("anchors"));
-    }
-    if run("fig10") {
-        matched = true;
-        println!("Figure 10 — {}\n", figures::fig10(&grid).expect("anchors"));
-    }
-    if run("fig11") {
-        matched = true;
-        println!("Figure 11 — {}\n", figures::fig11(&grid).expect("anchors"));
-    }
-    if run("tab6") {
-        matched = true;
-        let pairs = figures::sensitive_pairs(&grid);
-        println!("{}\n", tables::tab6(&grid, &pairs, 6));
-    }
-    if run("tab7") {
-        matched = true;
-        println!("{}\n", tables::tab7(&grid).expect("anchors"));
-    }
-    if run("tab8") {
-        matched = true;
-        let pairs = figures::sensitive_pairs(&grid);
-        println!("{}\n", tables::tab8(&grid, &pairs));
-    }
-    if run("casestudy") {
-        matched = true;
-        let pairs = figures::sensitive_pairs(&grid);
-        for v in casestudy::one_gb_sweep(&grid, &pairs) {
-            println!("{v}\n");
+    let mut matched = false;
+    for (id, render) in harness::RESULTS {
+        if what == "all" || what == *id {
+            matched = true;
+            print!("{}", render(&grid));
         }
     }
     if !matched {
-        eprintln!("unknown figure {what:?}; try fig2..fig11, tab6..tab8, casestudy, all");
+        let ids: Vec<&str> = harness::RESULTS.iter().map(|(id, _)| *id).collect();
+        eprintln!("unknown figure {what:?}; try {} or all", ids.join(", "));
         return 2;
     }
     0

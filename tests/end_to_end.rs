@@ -1,9 +1,10 @@
 //! End-to-end reproduction checks: the paper's headline claims must hold
 //! on the simulated platforms at FAST fidelity.
 
+use std::process::{Command, Output};
 use std::sync::OnceLock;
 
-use harness::{casestudy, figures, tables, Grid, Speed};
+use harness::{ablations, casestudy, figures, tables, Grid, Speed, RESULTS};
 use machine::Platform;
 use mosmodel::metrics::{geo_mean_err, max_err};
 use mosmodel::models::ModelKind;
@@ -221,4 +222,34 @@ fn cross_validation_keeps_mosmodel_usable() {
         "CV error stays practical: {}",
         report.max_err
     );
+}
+
+/// Runs `mosaic figure <id>` without touching the on-disk grid cache.
+fn mosaic_figure(id: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_mosaic"))
+        .args(["figure", id])
+        .env("MOSAIC_FAST", "1")
+        .env("MOSAIC_NO_DISK_CACHE", "1")
+        .output()
+        .expect("mosaic runs")
+}
+
+#[test]
+fn figure_rejects_an_unknown_id_and_names_every_known_one() {
+    let out = mosaic_figure("nope");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8");
+    for (id, _) in RESULTS {
+        assert!(stderr.contains(id), "{id:?} missing from {stderr:?}");
+    }
+}
+
+#[test]
+fn figure_prints_an_ablation_table() {
+    let out = mosaic_figure("ablation-fit-policy");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8");
+    assert_eq!(stdout, format!("\n{}\n", ablations::fit_policy()));
+    assert!(stdout.contains("Ablation — pool fit policy"), "{stdout}");
 }
