@@ -8,12 +8,11 @@ use std::sync::Arc;
 use machine::{profile_tlb_misses, Engine, EngineConfig, Platform};
 use mosalloc::{Mosalloc, MosallocConfig, PoolSpec};
 use mosmodel::dataset::{Dataset, LayoutKind, Sample};
-use mosmodel::persist::{encode_component, fmt_f64_shortest};
 use vmcore::parallel::{Flight, Singleflight};
 use vmcore::{MemoryLayout, PageSize, PmuCounters, Region, VirtAddr};
 use workloads::{sampling, Access, TraceParams, WorkloadSpec};
 
-use crate::grid_codec::{parse_entry, render_entry};
+use crate::grid_codec::{encode_component, fmt_f64_shortest, parse_entry, render_entry};
 use crate::sampled::{self, BatteryMode, GateReport, SampledConfig};
 use crate::{parallel, Speed};
 
@@ -367,7 +366,7 @@ impl Grid {
 
     fn cache_path(&self, workload: &str, platform: &str) -> Option<PathBuf> {
         let dir = self.disk_dir.as_ref()?;
-        // Percent-encode each component (the registry-store codec): the
+        // Percent-encode each component (`encode_component`): the
         // old `replace(['/', ' '], "_")` mapped distinct workloads like
         // "a/b", "a b", and "a_b" onto one cache file, silently serving
         // one pair's counters for another. A sampled grid's files carry
@@ -1419,7 +1418,7 @@ mod tests {
 
         // And the encoding is invertible: the workload is recoverable
         // from the filename, so a cache directory can be audited.
-        use mosmodel::persist::decode_component;
+        use crate::grid_codec::decode_component;
         let name = paths[0].file_name().unwrap().to_str().unwrap();
         let encoded_workload = name
             .strip_prefix("tiny_")

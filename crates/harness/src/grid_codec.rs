@@ -6,9 +6,10 @@
 //! other version is a cache miss (re-measured, never upgraded). The
 //! round trip is pinned by
 //! `experiment::tests::tsv_roundtrip_arbitrary_entries` (and the float
-//! codec over arbitrary bit patterns by `mosmodel::persist`'s tests),
-//! the version check by
-//! `experiment::tests::stale_cache_versions_are_rejected`.
+//! codec over arbitrary bit patterns by this module's tests), the
+//! version check by
+//! `experiment::tests::stale_cache_versions_are_rejected`. Cache file
+//! names go through [`encode_component`].
 
 // Counters and record counts pass through here on every cache load: a
 // wrapping or truncating integer operation would corrupt a battery
@@ -19,7 +20,6 @@
 )]
 
 use mosmodel::dataset::LayoutKind;
-use mosmodel::persist::{fmt_f64_shortest, parse_f64_shortest};
 use vmcore::PmuCounters;
 
 use crate::experiment::{GridEntry, RunRecord};
@@ -35,6 +35,60 @@ use crate::sampled::{BatteryMode, GateReport};
 /// and `# gate` header lines so interval-sampled entries carry their
 /// provenance (and can never be mistaken for full measurements).
 const CACHE_VERSION: u32 = 4;
+
+/// Renders an `f64` with Rust's `Display`, which emits the *shortest*
+/// decimal string that parses back to the identical bit pattern: the
+/// columns stay human-readable yet round-trip exactly (e.g. `cvR`).
+pub(crate) fn fmt_f64_shortest(v: f64) -> String {
+    format!("{v}")
+}
+
+/// Parses a float written by [`fmt_f64_shortest`]; returns `None` for
+/// text `f64::from_str` rejects. `parse_f64_shortest(&fmt_f64_shortest(v))`
+/// reproduces `v` bit-for-bit for every non-NaN `v`.
+pub(crate) fn parse_f64_shortest(s: &str) -> Option<f64> {
+    s.parse().ok()
+}
+
+/// Injective file-name encoding for cache path components. ASCII
+/// alphanumerics, `-` and `.` pass through; every other byte (including
+/// `_`, `/`, space and `%` itself) becomes `%XX`, so distinct names can
+/// never share a file. The old `replace(['/', ' '], "_")` sanitization
+/// mapped `a/b`, `a b` and `a_b` to one path, and colliding pairs then
+/// silently overwrote each other's file.
+pub(crate) fn encode_component(raw: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(raw.len());
+    for byte in raw.bytes() {
+        match byte {
+            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'.' => out.push(char::from(byte)),
+            _ => {
+                let _ = write!(out, "%{byte:02X}");
+            }
+        }
+    }
+    out
+}
+
+/// Inverse of [`encode_component`]: decodes `%XX` escapes back to their
+/// bytes, so a cache file's pair is recoverable from its name. Returns
+/// `None` for text no encoder output could have produced (truncated or
+/// non-hex escapes, non-UTF-8 decoded bytes).
+#[cfg(test)]
+pub(crate) fn decode_component(encoded: &str) -> Option<String> {
+    let mut out = Vec::with_capacity(encoded.len());
+    let mut bytes = encoded.bytes();
+    while let Some(byte) = bytes.next() {
+        if byte == b'%' {
+            let hex = [bytes.next()?, bytes.next()?];
+            let hex = std::str::from_utf8(&hex).ok()?;
+            out.push(u8::from_str_radix(hex, 16).ok()?);
+        } else {
+            out.push(byte);
+        }
+    }
+    String::from_utf8(out).ok()
+}
 
 /// Escapes a description for its single TSV column: backslash, tab,
 /// newline, and carriage return become two-character escapes, so the
@@ -252,4 +306,92 @@ fn parse_gate_line(line: &str) -> Option<Option<GateReport>> {
         anchors,
         accepted,
     }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn component_encoding_is_injective_and_round_trips() {
+        // The collision class the old `replace(['/', ' '], "_")`
+        // sanitization created: all three mapped to `a_b`.
+        let colliding = ["a/b", "a b", "a_b"];
+        for (i, a) in colliding.iter().enumerate() {
+            for b in colliding.iter().skip(i + 1) {
+                assert_ne!(
+                    encode_component(a),
+                    encode_component(b),
+                    "{a:?} and {b:?} must not share a file name"
+                );
+            }
+        }
+        // Encoding is stable (cache file names outlive a build) and
+        // keeps safe characters readable.
+        assert_eq!(encode_component("gups/8GB"), "gups%2F8GB");
+        assert_eq!(encode_component("a_b"), "a%5Fb");
+        assert_eq!(encode_component("a b"), "a%20b");
+        assert_eq!(encode_component("Broadwell-1.2"), "Broadwell-1.2");
+        assert_eq!(encode_component("100%"), "100%25");
+        for raw in [
+            "gups/8GB",
+            "a_b",
+            "a b",
+            "100%",
+            "Broadwell-1.2",
+            "",
+            "snake_case/with spaces/and%percent",
+            "ünïcode/π",
+        ] {
+            let encoded = encode_component(raw);
+            assert!(
+                !encoded.contains('/') && !encoded.contains(' '),
+                "{encoded:?} is not filesystem-safe"
+            );
+            assert_eq!(
+                decode_component(&encoded).as_deref(),
+                Some(raw),
+                "{raw:?} -> {encoded:?} failed to decode back"
+            );
+        }
+        // Text no encoder could have produced decodes to None, not junk.
+        assert_eq!(decode_component("%"), None);
+        assert_eq!(decode_component("%2"), None);
+        assert_eq!(decode_component("%zz"), None);
+        assert_eq!(decode_component("%FF"), None); // not UTF-8
+    }
+
+    #[test]
+    fn shortest_roundtrip_codec_is_bit_exact() {
+        let probes = [
+            0.0,
+            -0.0,
+            1.0 / 3.0,
+            0.047_281_953,
+            1e-308,
+            f64::MAX,
+            std::f64::consts::PI,
+        ];
+        for v in probes {
+            let s = fmt_f64_shortest(v);
+            let back = parse_f64_shortest(&s).unwrap();
+            assert_eq!(back.to_bits(), v.to_bits(), "{s} drifted");
+        }
+        assert!(parse_f64_shortest("not-a-float").is_none());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The shortest codec keeps every non-NaN bit pattern, so every
+        /// float the grid cache writes reloads bit-equal.
+        #[test]
+        fn shortest_codec_roundtrips_arbitrary_bit_patterns(bits in proptest::prelude::any::<u64>()) {
+            let v = f64::from_bits(bits);
+            if !v.is_nan() {
+                let back = parse_f64_shortest(&fmt_f64_shortest(v)).map(f64::to_bits);
+                proptest::prop_assert_eq!(back, Some(bits));
+            }
+        }
+    }
 }

@@ -8,16 +8,22 @@
 //! closes the loop:
 //!
 //! 1. train a runtime model on the base platform's Mosalloc battery;
-//! 2. **partially** simulate the workload on a hypothetical platform
-//!    (only `(H, M, C)` observed, as in Figure 1);
+//! 2. **partially** simulate the workload on a hypothetical platform:
+//!    only its `(H, M, C)` are observed, as in Figure 1;
 //! 3. feed the counters to the model → predicted runtime;
 //! 4. **fully** simulate the hypothetical platform → "true" runtime;
 //! 5. report the methodology's end-to-end error.
 //!
+//! Steps 2 and 4 are one [`Engine::run`]: a partial simulation here is
+//! the engine's `(H, M, C)` with its runtime withheld from the model.
+//! The engine counts them from the same translation outcomes a
+//! timing-free simulator would, so a second, counter-only pass would
+//! only repeat them.
+//!
 //! [`transfer_error`] additionally quantifies §IV's warning directly:
 //! a model fitted for processor `P` evaluated on `P̄`'s own data.
 
-use machine::{partial_sim, Engine, Platform};
+use machine::{Engine, Platform};
 use mosmodel::metrics::max_err;
 use mosmodel::models::{ModelKind, RuntimeModel};
 use mosmodel::{FitError, Sample};
@@ -78,33 +84,31 @@ pub fn explore_design(
     // Step 1: train on the base platform's Mosalloc data.
     let fitted = model.fit(&grid.dataset(workload, base))?;
 
-    // Steps 2-4 replay the trace the grid measures.
+    // Steps 2 and 4 replay the trace the grid measures, once.
     let ctx = MeasureContext::new(grid.speed(), workload)
         .unwrap_or_else(|| panic!("unknown workload {workload:?}"));
+    let full = Engine::new(design).run(ctx.trace(), |_| backing);
 
-    // Step 2: partial simulation of the hypothetical design.
-    let partial = partial_sim(design, ctx.trace(), |_| backing);
-
-    // Step 3: the model predicts the design's runtime.
+    // Step 3: the model predicts the design's runtime from the partial
+    // simulation's readout, (H, M, C) without R.
     let sample = Sample {
         r: 0.0,
-        h: partial.stlb_hits as f64,
-        m: partial.stlb_misses as f64,
-        c: partial.walk_cycles as f64,
+        h: full.stlb_hits as f64,
+        m: full.stlb_misses as f64,
+        c: full.walk_cycles as f64,
         kind: mosmodel::LayoutKind::Mixed,
     };
     let predicted_r = fitted.predict(&sample);
-
-    // Step 4: ground truth — the full simulation the methodology avoids.
-    let full = Engine::new(design).run(ctx.trace(), |_| backing);
 
     Ok(DesignPrediction {
         workload: workload.to_string(),
         base: base.name,
         design: design_name.to_string(),
         backing,
-        counters: (partial.stlb_hits, partial.stlb_misses, partial.walk_cycles),
+        counters: (full.stlb_hits, full.stlb_misses, full.walk_cycles),
         predicted_r,
+        // Step 4: ground truth — the full simulation's runtime, which
+        // the methodology avoids.
         simulated_r: full.runtime_cycles as f64,
     })
 }
@@ -163,7 +167,8 @@ mod tests {
     #[test]
     fn partial_counters_match_grid_anchor() {
         // The methodology's partial simulation must agree with the grid's
-        // own all-4KB measurement (same trace, same structures).
+        // own all-4KB measurement (same trace, same structures), in all
+        // of (H, M, C).
         let grid = tiny_grid();
         let p = explore_design(
             &grid,
@@ -177,6 +182,7 @@ mod tests {
         .unwrap();
         let entry = grid.entry("gups/8GB", &Platform::SANDY_BRIDGE);
         let anchor = entry.record(mosmodel::LayoutKind::All4K).unwrap().counters;
+        assert_eq!(p.counters.0, anchor.stlb_hits);
         assert_eq!(p.counters.1, anchor.stlb_misses);
         assert_eq!(p.counters.2, anchor.walk_cycles);
         assert_eq!(p.simulated_r, anchor.runtime_cycles as f64);

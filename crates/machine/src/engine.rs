@@ -521,6 +521,30 @@ mod tests {
     }
 
     #[test]
+    fn different_designs_produce_different_counters() {
+        let snb = run(
+            &Platform::SANDY_BRIDGE,
+            "xsbench/4GB",
+            128 * MIB,
+            30_000,
+            PageSize::Base4K,
+        );
+        let bdw = run(
+            &Platform::BROADWELL,
+            "xsbench/4GB",
+            128 * MIB,
+            30_000,
+            PageSize::Base4K,
+        );
+        assert!(
+            bdw.stlb_misses < snb.stlb_misses,
+            "a 3x larger STLB must miss less: {} vs {}",
+            bdw.stlb_misses,
+            snb.stlb_misses
+        );
+    }
+
+    #[test]
     fn instructions_independent_of_layout() {
         let a = run(
             &Platform::HASWELL,

@@ -2,8 +2,8 @@
 //!
 //! The paper measures runtimes `R` and virtual-memory counters `(H, M, C)`
 //! on three physical Xeon machines. Here, [`Engine`] plays that role: it
-//! drives a workload's memory-access trace through the `memsim` partial
-//! simulator and accounts wall-clock cycles with a mechanistic
+//! drives a workload's memory-access trace through the `memsim`
+//! virtual-memory simulator and accounts wall-clock cycles with a mechanistic
 //! out-of-order timing model. Two hardware behaviours that the paper
 //! *discovered* through Mosalloc emerge from the model rather than being
 //! painted on:
@@ -26,10 +26,8 @@
 #![warn(missing_docs)]
 
 mod engine;
-mod partial;
 mod profiler;
 
 pub use engine::{Engine, EngineConfig};
 pub use memsim::{Microarch, Platform};
-pub use partial::{partial_sim, PartialSimOutput};
 pub use profiler::{profile_tlb_misses, MissProfile};

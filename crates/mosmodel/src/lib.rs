@@ -64,7 +64,6 @@ pub mod linalg;
 pub mod metrics;
 pub mod models;
 pub mod ols;
-pub mod persist;
 pub mod poly;
 pub mod select;
 

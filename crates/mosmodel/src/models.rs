@@ -254,18 +254,6 @@ pub struct FittedModel {
 }
 
 impl FittedModel {
-    /// Reassembles a model from persisted parts (see [`crate::persist`]).
-    pub(crate) fn from_parts(kind: ModelKind, inner: Inner) -> Self {
-        FittedModel { kind, inner }
-    }
-
-    /// The model's internals, for the persistence encoder.
-    pub(crate) fn inner(&self) -> &Inner {
-        &self.inner
-    }
-}
-
-impl FittedModel {
     /// Which model this is.
     pub fn kind(&self) -> ModelKind {
         self.kind

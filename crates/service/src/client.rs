@@ -141,7 +141,7 @@ impl Client {
     }
 
     /// Pre-fits (or revives) a pair's models without running a
-    /// prediction; returns how many models the server's bundle holds.
+    /// prediction; returns how many models the server holds for the pair.
     /// Blocks until the fit completes — issue warms from their own
     /// connections to overlap several pairs.
     ///

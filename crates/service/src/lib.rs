@@ -1,10 +1,10 @@
 //! **mosaicd** — the prediction-serving subsystem.
 //!
 //! The paper's workflow ends with a fitted model; this crate turns that
-//! model into an online service. A [`registry::ModelRegistry`] fits (or
-//! reloads) the nine runtime models per `(workload, platform)` pair and
-//! persists the coefficients in the versioned [`mosmodel::persist`]
-//! format; a [`server::Server`] exposes them over a line-delimited TCP
+//! model into an online service. A [`registry::ModelRegistry`] fits the
+//! nine runtime models per `(workload, platform)` pair over the grid's
+//! battery, which the grid cache keeps across restarts; a
+//! [`server::Server`] exposes them over a line-delimited TCP
 //! protocol with an event-driven worker plane (a fixed pool of shards,
 //! each multiplexing its connections through one `poll(2)` readiness
 //! loop), bounded admission with explicit backpressure, and an embedded

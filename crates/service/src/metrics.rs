@@ -221,8 +221,6 @@ rows! {
         "Registry lookups answered from memory.";
     registry.misses => "registry_misses", "mosaicd_registry_misses_total",
         "Registry lookups that required a fit or disk load.";
-    registry.disk_loads => "registry_disk_loads", "mosaicd_registry_disk_loads_total",
-        "Registry misses satisfied from the on-disk store.";
     registry.fitting => "registry_fitting", "mosaicd_registry_fitting",
         "Model fits currently in flight (singleflight slots).";
     registry.sampled_rejections => "registry_sampled_rejections",
@@ -432,7 +430,6 @@ mod tests {
         let snap = m.snapshot(
             RegistryCounters {
                 hits: 5,
-                disk_loads: 1,
                 misses: 2,
                 fitting: 1,
                 sampled_rejections: 3,

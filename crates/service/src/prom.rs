@@ -359,7 +359,6 @@ mod tests {
                 registry: RegistryCounters {
                     hits: 5,
                     misses: 1,
-                    disk_loads: 1,
                     fitting: 1,
                     sampled_rejections: 2,
                 },

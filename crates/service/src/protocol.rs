@@ -306,7 +306,7 @@ pub fn render_prediction(p: &Prediction) -> String {
 }
 
 /// Renders the `warm ...` response line (no newline): the pair that was
-/// warmed and how many models its bundle now holds.
+/// warmed and how many models it now serves.
 pub fn render_warm(workload: &str, platform: &str, models: usize) -> String {
     format!("warm workload={workload} platform={platform} models={models}")
 }

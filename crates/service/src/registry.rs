@@ -3,10 +3,10 @@
 //! For each `(workload, platform)` pair the registry measures the full
 //! layout battery through [`harness::Grid`], fits every
 //! [`ModelKind`] that the data admits, records each
-//! model's error bounds, and memoizes the result. When given a store
-//! directory it also persists the fitted coefficients in the versioned
-//! [`mosmodel::persist`] text format, so a later server process answers
-//! its first query without re-measuring anything.
+//! model's error bounds, and memoizes the result. Nothing but the
+//! battery is kept on disk: a restarted server reloads it from the grid
+//! cache and refits, which takes milliseconds, so it answers its first
+//! query without re-measuring anything.
 //!
 //! # Singleflight fitting
 //!
@@ -20,13 +20,12 @@
 //!
 //! Counters expose the registry's behaviour to the metrics endpoint:
 //! *hits* (served from memory, including waiters coalesced onto another
-//! query's fit), *disk loads* (revived from the persisted store),
-//! *misses* (had to measure and fit) and the *fitting* gauge (fits in
-//! flight right now).
+//! query's fit), *misses* (had to fit, measuring the battery unless the
+//! grid cache holds it) and the *fitting* gauge (fits in flight right
+//! now).
 
 use std::collections::BTreeMap;
-use std::fs;
-use std::path::PathBuf;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -34,10 +33,7 @@ use harness::{Grid, MeasureContext};
 use machine::Platform;
 use mosmodel::cv::k_fold;
 use mosmodel::metrics::{geo_mean_err, max_err};
-use mosmodel::persist::{
-    decode_bundle, encode_bundle, encode_component, ModelBundle, PersistedModel,
-};
-use mosmodel::ModelKind;
+use mosmodel::{FittedModel, ModelKind};
 use vmcore::parallel::{Flight, Singleflight};
 
 use crate::cache::{FifoCache, PredictionCache};
@@ -63,21 +59,32 @@ const CV_FOLDS: usize = 6;
 /// threshold enters as raw `f64` bits, keeping the key `Ord` and exact.
 pub type RecommendKey = (String, String, String, u64);
 
+/// One fitted model plus the error bounds measured on its fit dataset.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ServedModel {
+    /// The fitted model.
+    pub model: FittedModel,
+    /// Maximal relative error over the fit dataset (paper Eq. 1).
+    pub max_err: f64,
+    /// Geometric-mean relative error (paper Eq. 2).
+    pub geo_mean_err: f64,
+}
+
 /// Everything the server needs to answer queries for one pair: the
 /// fitted models (with error bounds) and the measurement geometry for
 /// running layout-spec simulations.
 #[derive(Clone, Debug)]
 pub struct RegistryEntry {
-    /// Fitted models and their error bounds.
-    pub bundle: ModelBundle,
+    /// Every model whose fit succeeded, in [`ModelKind::ALL`] order.
+    pub models: Vec<ServedModel>,
     /// Pool geometry + trace parameters for single-layout measurement.
     pub ctx: MeasureContext,
 }
 
 impl RegistryEntry {
-    /// The persisted model of the given kind, if its fit succeeded.
-    pub fn model(&self, kind: ModelKind) -> Option<&PersistedModel> {
-        self.bundle.models.iter().find(|m| m.model.kind() == kind)
+    /// The fitted model of the given kind, if its fit succeeded.
+    pub fn model(&self, kind: ModelKind) -> Option<&ServedModel> {
+        self.models.iter().find(|m| m.model.kind() == kind)
     }
 }
 
@@ -87,9 +94,8 @@ pub struct RegistryCounters {
     /// Lookups served from the in-memory memo (including waiters
     /// coalesced onto an in-flight fit).
     pub hits: u64,
-    /// Lookups revived from the on-disk model store.
-    pub disk_loads: u64,
-    /// Lookups that had to measure the battery and fit from scratch.
+    /// Lookups that had to fit, measuring the battery unless the grid
+    /// cache already held it.
     pub misses: u64,
     /// Gauge: battery fits in flight right now.
     pub fitting: u64,
@@ -134,11 +140,10 @@ pub struct PairInfo {
     pub cv_err: f64,
 }
 
-/// Fits, persists, and memoizes models per `(workload, platform)`.
+/// Fits and memoizes models per `(workload, platform)`.
 #[derive(Debug)]
 pub struct ModelRegistry {
     grid: Grid,
-    store_dir: Option<PathBuf>,
     /// Fitted entries per pair; a failed fit carries its [`ServiceError`].
     entries: Singleflight<(String, String), Arc<RegistryEntry>, ServiceError>,
     cache: PredictionCache,
@@ -148,52 +153,41 @@ pub struct ModelRegistry {
     /// panicking run drops its message (`()`), answered as `INFINITY`.
     cv_errors: Singleflight<(String, String), f64, ()>,
     hits: AtomicU64,
-    disk_loads: AtomicU64,
     misses: AtomicU64,
     fitting: AtomicU64,
 }
 
 impl ModelRegistry {
-    /// Creates a registry over `grid`, persisting fitted models under
-    /// `store_dir` (`None` keeps everything in memory — hermetic tests),
-    /// with the default prediction-cache bound.
-    pub fn new(grid: Grid, store_dir: Option<PathBuf>) -> Self {
-        Self::with_cache_capacity(grid, store_dir, DEFAULT_PREDICTION_CACHE)
+    /// Creates a registry over `grid` with the default prediction-cache
+    /// bound.
+    ///
+    /// `_no_store` is a placeholder that only `None` fills: it keeps
+    /// the call sites of the retired model-store parameter compiling
+    /// (the benchmark's among them), and it goes in the next change to
+    /// the benchmark.
+    pub fn new(grid: Grid, _no_store: Option<Infallible>) -> Self {
+        Self::with_cache_capacity(grid, DEFAULT_PREDICTION_CACHE)
     }
 
     /// Creates a registry with an explicit prediction-cache bound
     /// (`0` disables the cache — every predict runs the simulation).
-    pub fn with_cache_capacity(
-        grid: Grid,
-        store_dir: Option<PathBuf>,
-        cache_capacity: usize,
-    ) -> Self {
+    pub fn with_cache_capacity(grid: Grid, cache_capacity: usize) -> Self {
         ModelRegistry {
             grid,
-            store_dir,
             entries: Singleflight::new(ServiceError::FitFailed),
             cache: FifoCache::new(cache_capacity),
             rec_cache: FifoCache::new(DEFAULT_RECOMMEND_CACHE),
             cv_errors: Singleflight::new(drop),
             hits: AtomicU64::new(0),
-            disk_loads: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             fitting: AtomicU64::new(0),
         }
-    }
-
-    /// The default on-disk store location.
-    pub fn default_store_dir() -> PathBuf {
-        std::env::var("MOSAIC_MODEL_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| PathBuf::from("target/mosaic-models"))
     }
 
     /// Lookup-counter snapshot.
     pub fn counters(&self) -> RegistryCounters {
         RegistryCounters {
             hits: self.hits.load(Ordering::Relaxed),
-            disk_loads: self.disk_loads.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             fitting: self.fitting.load(Ordering::SeqCst),
             sampled_rejections: self.grid.sampled_rejections(),
@@ -257,7 +251,7 @@ impl ModelRegistry {
                     workload,
                     platform,
                     ready: entry.is_some(),
-                    models: entry.map_or(0, |e| e.bundle.models.len()),
+                    models: entry.map_or(0, |e| e.models.len()),
                     cv_err,
                 }
             })
@@ -294,8 +288,9 @@ impl ModelRegistry {
         }
     }
 
-    /// The actual fit: resolve the workload, revive from the store or
-    /// measure + fit + persist. Runs with no registry lock held.
+    /// The actual fit: resolve the workload, then measure (or reload
+    /// from the grid cache) its battery and fit every model. Runs with
+    /// no registry lock held.
     fn build_entry(
         &self,
         workload: &str,
@@ -316,68 +311,8 @@ impl ModelRegistry {
         }
         let ctx = MeasureContext::new(self.grid.speed(), workload)
             .ok_or_else(|| ServiceError::UnknownWorkload(workload.to_string()))?;
+        self.misses.fetch_add(1, Ordering::Relaxed);
 
-        let bundle = match self.load_store(workload, platform.name) {
-            Some(bundle) => {
-                self.disk_loads.fetch_add(1, Ordering::Relaxed);
-                bundle
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let bundle = self.fit_bundle(workload, platform);
-                self.persist(&bundle);
-                bundle
-            }
-        };
-
-        Ok(Arc::new(RegistryEntry { bundle, ctx }))
-    }
-
-    /// The store file of a pair. Each name goes through the injective
-    /// [`encode_component`], shared with the grid cache, so distinct
-    /// pairs never share a store file (colliding pairs would fail the
-    /// identity check in `load_store`, refit on every start and
-    /// overwrite each other's store).
-    fn store_path(&self, workload: &str, platform: &str) -> Option<PathBuf> {
-        let dir = self.store_dir.as_ref()?;
-        Some(dir.join(format!(
-            "{}_{}_{}.models",
-            encode_component(self.grid.speed().name),
-            encode_component(workload),
-            encode_component(platform),
-        )))
-    }
-
-    fn load_store(&self, workload: &str, platform: &str) -> Option<ModelBundle> {
-        let path = self.store_path(workload, platform)?;
-        let text = fs::read_to_string(path).ok()?;
-        let bundle = decode_bundle(&text).ok()?;
-        // A renamed or hand-edited file must not serve the wrong pair.
-        (bundle.workload == workload && bundle.platform == platform).then_some(bundle)
-    }
-
-    fn persist(&self, bundle: &ModelBundle) {
-        let Some(path) = self.store_path(&bundle.workload, &bundle.platform) else {
-            return;
-        };
-        if let Some(parent) = path.parent() {
-            if let Err(e) = fs::create_dir_all(parent) {
-                eprintln!(
-                    "mosaicd: cannot create model store {}: {e}",
-                    parent.display()
-                );
-                return;
-            }
-        }
-        if let Err(e) = fs::write(&path, encode_bundle(bundle)) {
-            eprintln!(
-                "mosaicd: model store write to {} failed (ignored): {e}",
-                path.display()
-            );
-        }
-    }
-
-    fn fit_bundle(&self, workload: &str, platform: &'static Platform) -> ModelBundle {
         let dataset = self.grid.entry(workload, platform).dataset();
         let models = ModelKind::ALL
             .into_iter()
@@ -385,18 +320,14 @@ impl ModelRegistry {
                 // A degenerate pair can make individual fits impossible
                 // (e.g. M₄ₖ = 0 for Basu); serve the models that do fit.
                 let model = kind.fit(&dataset).ok()?;
-                Some(PersistedModel {
+                Some(ServedModel {
                     max_err: max_err(&model, &dataset),
                     geo_mean_err: geo_mean_err(&model, &dataset),
                     model,
                 })
             })
             .collect();
-        ModelBundle {
-            workload: workload.to_string(),
-            platform: platform.name.to_string(),
-            models,
-        }
+        Ok(Arc::new(RegistryEntry { models, ctx }))
     }
 }
 
@@ -415,13 +346,6 @@ mod tests {
         }
     }
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("mosaicd-registry-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
-
     #[test]
     fn fits_memoizes_and_counts() {
         let registry = ModelRegistry::new(Grid::in_memory(tiny_speed()), None);
@@ -431,7 +355,6 @@ mod tests {
             registry.counters(),
             RegistryCounters {
                 hits: 0,
-                disk_loads: 0,
                 misses: 1,
                 fitting: 0,
                 sampled_rejections: 0,
@@ -442,8 +365,8 @@ mod tests {
         assert_eq!(registry.counters().hits, 1);
 
         // Every anchor-complete battery admits all nine models.
-        assert_eq!(a.bundle.models.len(), ModelKind::ALL.len());
-        for m in &a.bundle.models {
+        assert_eq!(a.models.len(), ModelKind::ALL.len());
+        for m in &a.models {
             assert!(m.max_err >= m.geo_mean_err, "{}", m.model.kind());
         }
         assert!(registry.entry("no-such-workload", platform).is_err());
@@ -496,110 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn persisted_store_is_reused_across_registries() {
-        let dir = temp_dir("reuse");
-        let platform = &Platform::SANDY_BRIDGE;
-
-        let first = ModelRegistry::new(Grid::in_memory(tiny_speed()), Some(dir.clone()));
-        let fitted = first.entry("gups/8GB", platform).unwrap();
-        assert_eq!(first.counters().misses, 1);
-
-        // A fresh registry (fresh process, conceptually) loads from disk:
-        // zero misses, identical coefficients.
-        let second = ModelRegistry::new(Grid::in_memory(tiny_speed()), Some(dir.clone()));
-        let reloaded = second.entry("gups/8GB", platform).unwrap();
-        let c = second.counters();
-        assert_eq!((c.misses, c.disk_loads), (0, 1));
-        assert_eq!(fitted.bundle, reloaded.bundle);
-
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn two_independent_fits_persist_byte_identical_stores() {
-        let (dir_a, dir_b) = (temp_dir("det-a"), temp_dir("det-b"));
-        for dir in [&dir_a, &dir_b] {
-            let registry = ModelRegistry::new(Grid::in_memory(tiny_speed()), Some(dir.clone()));
-            registry.entry("gups/8GB", &Platform::SANDY_BRIDGE).unwrap();
-        }
-        let file = "tiny_gups%2F8GB_SandyBridge.models";
-        let a = fs::read(dir_a.join(file)).unwrap();
-        let b = fs::read(dir_b.join(file)).unwrap();
-        assert!(!a.is_empty());
-        assert_eq!(a, b, "identical fits persisted different bytes");
-        fs::remove_dir_all(&dir_a).unwrap();
-        fs::remove_dir_all(&dir_b).unwrap();
-    }
-
-    #[test]
-    fn corrupt_store_files_fall_back_to_fitting() {
-        let dir = temp_dir("corrupt");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(
-            dir.join("tiny_gups%2F8GB_SandyBridge.models"),
-            "# mosaic-models v999\n",
-        )
-        .unwrap();
-        let registry = ModelRegistry::new(Grid::in_memory(tiny_speed()), Some(dir.clone()));
-        let entry = registry.entry("gups/8GB", &Platform::SANDY_BRIDGE).unwrap();
-        assert_eq!(registry.counters().misses, 1, "bad version must refit");
-        assert!(!entry.bundle.models.is_empty());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stores_from_an_older_format_are_refitted() {
-        // A store from an older format (v1: fitted by an older solver)
-        // must be refitted, not served.
-        let dir = temp_dir("v1");
-        let file = dir.join("tiny_gups%2F8GB_SandyBridge.models");
-        let platform = &Platform::SANDY_BRIDGE;
-        let fresh = ModelRegistry::new(Grid::in_memory(tiny_speed()), Some(dir.clone()));
-        let fitted = fresh.entry("gups/8GB", platform).unwrap();
-        let current = fs::read_to_string(&file).unwrap();
-        let header = format!("# mosaic-models v{}\n", mosmodel::persist::FORMAT_VERSION);
-        assert!(current.starts_with(&header), "{current:.40}");
-        fs::write(&file, current.replacen(&header, "# mosaic-models v1\n", 1)).unwrap();
-
-        let upgraded = ModelRegistry::new(Grid::in_memory(tiny_speed()), Some(dir.clone()));
-        let refitted = upgraded.entry("gups/8GB", platform).unwrap();
-        let c = upgraded.counters();
-        assert_eq!((c.misses, c.disk_loads), (1, 0), "a v1 store must refit");
-        assert_eq!(refitted.bundle, fitted.bundle);
-        assert_eq!(
-            fs::read_to_string(&file).unwrap(),
-            current,
-            "the refit rewrites the store"
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn store_paths_never_collide() {
-        let registry =
-            ModelRegistry::new(Grid::in_memory(tiny_speed()), Some(PathBuf::from("/store")));
-        // The old scheme mapped all three of these to `a_b`: colliding
-        // pairs failed the identity check in load_store, refit every
-        // process start, and overwrote each other's store file.
-        let colliding = ["a/b", "a b", "a_b"];
-        let paths: Vec<PathBuf> = colliding
-            .iter()
-            .map(|w| registry.store_path(w, "SandyBridge").unwrap())
-            .collect();
-        for (i, a) in paths.iter().enumerate() {
-            for b in paths.iter().skip(i + 1) {
-                assert_ne!(a, b, "colliding store paths for {colliding:?}");
-            }
-        }
-        // Encoding is stable and keeps safe characters readable.
-        assert_eq!(encode_component("gups/8GB"), "gups%2F8GB");
-        assert_eq!(encode_component("a_b"), "a%5Fb");
-        assert_eq!(encode_component("a b"), "a%20b");
-        assert_eq!(encode_component("Broadwell-1.2"), "Broadwell-1.2");
-        assert_eq!(encode_component("100%"), "100%25");
-    }
-
-    #[test]
     fn cv_error_is_memoized_and_finite_for_healthy_pairs() {
         let registry = ModelRegistry::new(Grid::in_memory(tiny_speed()), None);
         let platform = &Platform::SANDY_BRIDGE;
@@ -634,7 +453,7 @@ mod tests {
     #[test]
     fn one_pair_can_fill_the_whole_prediction_cache() {
         const N: usize = 1024;
-        let registry = ModelRegistry::with_cache_capacity(Grid::in_memory(tiny_speed()), None, N);
+        let registry = ModelRegistry::with_cache_capacity(Grid::in_memory(tiny_speed()), N);
         let cache = registry.prediction_cache();
         let key = |i: usize| {
             let layout = format!("2MB[{i}]");

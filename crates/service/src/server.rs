@@ -941,7 +941,7 @@ fn handle_request(
 }
 
 /// Pre-fits (or revives) a pair's models without running a prediction;
-/// returns how many models the bundle holds. Shares the registry's
+/// returns how many models the pair serves. Shares the registry's
 /// singleflight path, so concurrent warms and predicts for the same
 /// pair coalesce onto one fit.
 ///
@@ -956,7 +956,7 @@ pub fn warm(
     let platform = Platform::by_name(platform)
         .ok_or_else(|| ServiceError::UnknownPlatform(platform.to_string()))?;
     let entry = registry.entry(workload, platform)?;
-    Ok(entry.bundle.models.len())
+    Ok(entry.models.len())
 }
 
 /// The in-process prediction path: measure the layout with the grid's
@@ -1042,11 +1042,11 @@ fn simulate_prediction(
     kind: ModelKind,
     sim: Option<&mut SpanRecorder>,
 ) -> Result<Prediction, ServiceError> {
-    let persisted = entry
+    let served = entry
         .model(kind)
         .ok_or_else(|| ServiceError::ModelUnavailable(kind.name().to_string()))?;
     let record = measure_layout_traced(&entry.ctx, &MachineVariant::real(platform), layout, sim);
-    let predicted = persisted.model.predict(&record.sample());
+    let predicted = served.model.predict(&record.sample());
     Ok(Prediction {
         runtime_cycles: record.counters.runtime_cycles,
         stlb_hits: record.counters.stlb_hits,
@@ -1054,8 +1054,8 @@ fn simulate_prediction(
         walk_cycles: record.counters.walk_cycles,
         model: kind,
         predicted,
-        max_err: persisted.max_err,
-        geo_mean_err: persisted.geo_mean_err,
+        max_err: served.max_err,
+        geo_mean_err: served.geo_mean_err,
     })
 }
 
@@ -1102,7 +1102,7 @@ impl Scorer for RegistryScorer<'_> {
         };
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
-        for model in &self.entry.bundle.models {
+        for model in &self.entry.models {
             let p = model.model.predict(&sample);
             if p.is_finite() {
                 min = min.min(p);

@@ -20,7 +20,6 @@ fn snapshot() -> StatsSnapshot {
         connections: 108,
         registry: RegistryCounters {
             hits: 109,
-            disk_loads: 110,
             misses: 111,
             fitting: 112,
             sampled_rejections: 113,
@@ -62,8 +61,8 @@ fn stats_line_bytes_are_pinned() {
     let expected =
         "stats requests=101 predicts=102 recommends=103 errors=104 too_long=105 busy=106 \
          queue_depth=107 connections=108 registry_hits=109 registry_misses=111 \
-         registry_disk_loads=110 registry_fitting=112 registry_sampled_rejections=113 \
-         pred_cache_hits=114 pred_cache_misses=115 pred_cache_len=118 rec_cache_hits=116 \
+         registry_fitting=112 registry_sampled_rejections=113 pred_cache_hits=114 \
+         pred_cache_misses=115 pred_cache_len=118 rec_cache_hits=116 \
          rec_cache_misses=117 p50_us=25000 p90_us=18446744073709551615 \
          p99_us=18446744073709551615 buckets=1,2,3,4,5,6,7,8,9,10,11,12";
     assert_eq!(snapshot().render(), expected);
@@ -101,9 +100,6 @@ mosaicd_registry_hits_total 109
 # HELP mosaicd_registry_misses_total Registry lookups that required a fit or disk load.
 # TYPE mosaicd_registry_misses_total counter
 mosaicd_registry_misses_total 111
-# HELP mosaicd_registry_disk_loads_total Registry misses satisfied from the on-disk store.
-# TYPE mosaicd_registry_disk_loads_total counter
-mosaicd_registry_disk_loads_total 110
 # HELP mosaicd_registry_fitting Model fits currently in flight (singleflight slots).
 # TYPE mosaicd_registry_fitting gauge
 mosaicd_registry_fitting 112

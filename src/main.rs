@@ -371,7 +371,6 @@ fn cmd_serve(args: &[String]) -> i32 {
         }
     }
     let speed = Speed::from_env();
-    let store_dir = service::registry::ModelRegistry::default_store_dir();
     // `--jobs` (or MOSAIC_JOBS, or available parallelism) sets the grid's
     // battery fan-out, so every cold fit — including the `--warm` pre-fits
     // below — measures its layouts on that many worker threads.
@@ -380,11 +379,7 @@ fn cmd_serve(args: &[String]) -> i32 {
     if let Some(cfg) = sampled {
         grid = grid.with_sampled(cfg);
     }
-    let registry = service::registry::ModelRegistry::with_cache_capacity(
-        grid,
-        Some(store_dir.clone()),
-        cache_cap,
-    );
+    let registry = service::registry::ModelRegistry::with_cache_capacity(grid, cache_cap);
     let config = service::server::ServerConfig {
         addr: addr.clone(),
         ..Default::default()
@@ -404,11 +399,10 @@ fn cmd_serve(args: &[String]) -> i32 {
         None => "full batteries".to_string(),
     };
     println!(
-        "mosaicd listening on {} ({} preset, {} battery jobs, {battery}, model store {})",
+        "mosaicd listening on {} ({} preset, {} battery jobs, {battery})",
         server.addr(),
         speed.name,
         resolved_jobs,
-        store_dir.display(),
     );
     // Pre-fit the requested pairs in the background, one `warm` request
     // per pair on its own connection: the registry's singleflight

@@ -1,6 +1,6 @@
 //! mosaicd end-to-end: a real server on an ephemeral port, hammered by
 //! concurrent clients, checked bit-for-bit against in-process
-//! predictions, plus backpressure and persisted-store behaviour.
+//! predictions, plus backpressure and restart behaviour.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -25,12 +25,6 @@ const TINY: Speed = Speed {
 
 const WORKLOAD: &str = "gups/8GB";
 const PLATFORM: &str = "sandybridge";
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mosaicd-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 #[test]
 fn concurrent_predictions_match_in_process_bit_for_bit() {
@@ -297,49 +291,76 @@ fn slow_writer_request_survives_read_timeout_windows() {
     server.shutdown();
 }
 
+/// A scratch grid cache: `Grid::new` reads `MOSAIC_CACHE_DIR`, so this
+/// points it at a fresh directory and removes both on drop. The other
+/// tests in this binary use `Grid::in_memory`, which ignores the
+/// environment.
+struct ScratchCache {
+    dir: PathBuf,
+}
+
+impl ScratchCache {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("mosaicd-it-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::env::set_var("MOSAIC_CACHE_DIR", &dir);
+        std::env::remove_var("MOSAIC_NO_DISK_CACHE");
+        ScratchCache { dir }
+    }
+
+    fn files(&self) -> usize {
+        std::fs::read_dir(&self.dir).unwrap().count()
+    }
+}
+
+impl Drop for ScratchCache {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+        std::env::remove_var("MOSAIC_CACHE_DIR");
+    }
+}
+
 #[test]
-fn second_server_reuses_persisted_model_store() {
-    let dir = temp_dir("store");
+fn restarted_server_refits_from_the_grid_cache() {
+    let cache = ScratchCache::new("restart");
 
     let first = Server::start(
         ServerConfig::default(),
-        ModelRegistry::new(Grid::in_memory(TINY), Some(dir.clone())),
+        ModelRegistry::new(Grid::new(TINY), None),
     )
     .unwrap();
     let mut client = Client::connect(first.addr()).unwrap();
     let fitted = client
         .predict(WORKLOAD, PLATFORM, "2m:0..16M", None)
         .unwrap();
-    let counters = first.stats().registry;
-    assert_eq!(
-        (counters.misses, counters.disk_loads),
-        (1, 0),
-        "first start must fit"
-    );
+    assert_eq!(first.stats().registry.misses, 1, "first start must fit");
+    assert_eq!(first.registry().grid().batteries_computed(), 1);
     first.shutdown();
+    assert_eq!(cache.files(), 1, "the battery is cached on disk");
 
-    // A fresh server over the same store answers from disk: zero fitting
-    // misses, and the prediction is bit-identical to the fitted one.
+    // A fresh server over the same grid cache refits from the cached
+    // battery: one fitting miss, no battery simulated, and the reply
+    // bit-identical to the first server's.
     let second = Server::start(
         ServerConfig::default(),
-        ModelRegistry::new(Grid::in_memory(TINY), Some(dir.clone())),
+        ModelRegistry::new(Grid::new(TINY), None),
     )
     .unwrap();
     let mut client = Client::connect(second.addr()).unwrap();
-    let reloaded = client
+    let refitted = client
         .predict(WORKLOAD, PLATFORM, "2m:0..16M", None)
         .unwrap();
-    let counters = second.stats().registry;
+    assert_eq!(second.stats().registry.misses, 1, "a restart refits");
     assert_eq!(
-        (counters.misses, counters.disk_loads),
-        (0, 1),
-        "second start must load the persisted store instead of refitting"
+        second.registry().grid().batteries_computed(),
+        0,
+        "a restart must reload the battery, never re-measure it"
     );
-    assert_eq!(reloaded, fitted);
-    assert_eq!(reloaded.predicted.to_bits(), fitted.predicted.to_bits());
+    assert_eq!(refitted, fitted);
+    assert_eq!(refitted.predicted.to_bits(), fitted.predicted.to_bits());
     second.shutdown();
-
-    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(cache.files(), 1, "a restart writes no new cache file");
 }
 
 /// The head-of-line-blocking regression test: while one pair's cold
